@@ -100,11 +100,15 @@ chaos-rolling:
 		./internal/cluster/
 
 # The result-store chaos suite under the race detector: the tiered CAS
-# (internal/cas) unit and crash tests, plus the pool-level drills — a
-# cache-cold restart serving a corpus 4x the RAM cache with exactly zero
-# recomputes and >90% combined-tier hits, a kill mid-segment-write
-# recovered by torn-tail truncation, and the crash window between the
-# CAS fsync and the journal's stored pointer. Seeds {1, 7, 42}.
+# (internal/cas) unit and crash tests, plus the pool-level drills. The
+# CAS is the only durable copy of a result and the journal holds only
+# intents, so the drills are: a cache-cold restart serving a corpus 4x
+# the RAM cache with exactly zero recomputes, >90% combined-tier hits,
+# no result body read at recovery and an empty journal after it; a kill
+# mid-segment-write recovered by torn-tail truncation; the crash window
+# between the CAS fsync and the journal's stored line; and a failed CAS
+# Put leaving its accept open, re-run once on the next boot. Seeds
+# {1, 7, 42}.
 chaos-cas:
 	$(GO) test -race -count=1 ./internal/cas/
 	$(GO) test -race -count=1 -run 'TestChaosCAS' ./internal/jobs/

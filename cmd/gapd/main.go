@@ -15,23 +15,25 @@
 //	     [-gossip -advertise URL] [-gossip-interval 250ms]
 //	     [-gossip-seed N] [-version]
 //
-// With -journal, every accepted job is written ahead to an fsynced JSONL
-// log in DIR; on boot the journal is replayed — completed results re-warm
-// the cache, jobs interrupted by a crash are re-executed — before the
-// server starts listening. SIGHUP compacts the journal on demand. The
-// server drains in-flight jobs and exits cleanly on SIGINT/SIGTERM,
-// syncing the journal and logging the count of jobs still in flight when
-// the drain deadline expires.
+// With -store-dir, completed results persist to a content-addressed
+// segment store (internal/cas), the only durable copy of a finished
+// result: the RAM cache becomes a promotion tier over the disk tier,
+// cache misses consult the store before recomputing, and a warm restart
+// rebuilds the full result corpus by scanning the segment index — no
+// recompute, regardless of cache size. -store-segment-bytes sets the
+// rolling-segment size; -store-max-bytes budgets the store (compaction
+// evicts the coldest records past it; 0 = unlimited).
 //
-// With -store-dir, completed results also persist to a content-addressed
-// segment store (internal/cas): the RAM cache becomes a promotion tier
-// over the disk tier, cache misses consult the store before recomputing,
-// and a warm restart rebuilds the full result corpus by scanning the
-// segment index — no recompute, regardless of cache size. The journal
-// then records slim "stored" pointers instead of full result bodies.
-// -store-segment-bytes sets the rolling-segment size; -store-max-bytes
-// budgets the store (compaction evicts the coldest records past it;
-// 0 = unlimited).
+// With -journal (which requires -store-dir), DIR holds an intent log:
+// every accepted job is written ahead to an fsynced JSONL line, and a
+// "stored" line closes it once its result is in the store. On boot,
+// before the server starts listening, jobs a crash interrupted are
+// re-executed (or closed, if the store already holds their result) and
+// the journal compacts to what is still pending. Recovery reads no
+// result body. SIGHUP compacts the journal on demand. The server drains
+// in-flight jobs and exits cleanly on SIGINT/SIGTERM, syncing the
+// journal and logging the count of jobs still in flight when the drain
+// deadline expires.
 //
 // The store is continuously scrubbed: every -scrub-interval a background
 // pass verifies -scrub-rate records against their CRCs and SHA-256
@@ -97,7 +99,7 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-job wall-clock limit")
 	reqTimeout := flag.Duration("request-timeout", 5*time.Minute, "per-request wait limit")
 	maxBody := flag.Int64("max-body", 1<<20, "request body limit in bytes")
-	journalDir := flag.String("journal", "", "crash-safe job journal directory (empty disables)")
+	journalDir := flag.String("journal", "", "crash-safe job intent log directory; requires -store-dir (empty disables)")
 	storeDir := flag.String("store-dir", "", "content-addressed result store directory: disk tier under the RAM cache (empty disables)")
 	storeSegBytes := flag.Int64("store-segment-bytes", 0, "store rolling-segment size in bytes (0 = 64 MiB)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "store live-byte budget; compaction evicts the coldest records past it (0 = unlimited)")
@@ -134,6 +136,10 @@ func main() {
 		return
 	}
 
+	if *journalDir != "" && *storeDir == "" {
+		fmt.Fprintln(os.Stderr, "gapd: -journal requires -store-dir: the journal logs intents, the store holds results")
+		os.Exit(2)
+	}
 	var journal *jobs.Journal
 	if *journalDir != "" {
 		j, err := jobs.OpenJournal(*journalDir)
@@ -204,25 +210,26 @@ func main() {
 		}()
 	}
 
-	// Replay the journal before listening: completed results re-warm the
-	// cache, interrupted jobs re-execute, and the journal compacts to
-	// the surviving state — so a kill-and-restart converges to the same
-	// results the uninterrupted run would have served.
+	// Replay the journal before listening: interrupted jobs re-execute
+	// (or close, when the store already holds their result) and the
+	// journal compacts to what is still pending — so a kill-and-restart
+	// converges to the same results the uninterrupted run would have
+	// served.
 	if journal != nil {
 		stats, err := jobs.RecoverFromJournal(ctx, pool, *journalDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gapd: journal recovery: %v\n", err)
 			os.Exit(1)
 		}
-		if stats.WarmedCache+stats.WarmedStore+stats.Resubmitted+stats.SkippedTerminal+stats.ReplaysExhausted > 0 || stats.Truncated {
-			log.Printf("gapd: journal replay: %d results re-warmed, %d resolved from the store, %d interrupted jobs re-run (%d failed again), %d terminal failures skipped, %d poison jobs failed terminally, truncated=%v",
-				stats.WarmedCache, stats.WarmedStore, stats.Resubmitted, stats.FailedReplays,
+		if stats.ResolvedFromStore+stats.Resubmitted+stats.SkippedTerminal+stats.ReplaysExhausted > 0 || stats.Truncated {
+			log.Printf("gapd: journal replay: %d resolved from the store, %d interrupted jobs re-run (%d failed again), %d terminal failures skipped, %d poison jobs failed terminally, truncated=%v",
+				stats.ResolvedFromStore, stats.Resubmitted, stats.FailedReplays,
 				stats.SkippedTerminal, stats.ReplaysExhausted, stats.Truncated)
 		}
 	}
 
-	// SIGHUP compacts the journal on demand: duplicate accepts and
-	// terminal-failure history collapse while pending work survives.
+	// SIGHUP compacts the journal on demand: closed jobs leave no line
+	// while pending work survives.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
@@ -236,8 +243,8 @@ func main() {
 				log.Printf("gapd: SIGHUP compaction failed: %v", err)
 				continue
 			}
-			log.Printf("gapd: SIGHUP compaction: %d -> %d bytes (%d done kept, %d pending kept, %d failed dropped)",
-				st.BeforeBytes, st.AfterBytes, st.Completed, st.PendingKept, st.DroppedFailed)
+			log.Printf("gapd: SIGHUP compaction: %d -> %d bytes (%d pending kept, %d failed dropped)",
+				st.BeforeBytes, st.AfterBytes, st.PendingKept, st.DroppedFailed)
 		}
 	}()
 

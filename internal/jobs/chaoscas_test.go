@@ -64,7 +64,10 @@ func openTestStore(t *testing.T, dir string) *cas.Store {
 // "dies" cleanly, and a restarted pool with a cold cache must re-serve
 // every result from the rebuilt segment index — JobsStarted stays
 // exactly zero, every body is byte-identical to the serial reference,
-// and the combined RAM+CAS hit rate over the sweep exceeds 90%.
+// and the combined RAM+CAS hit rate over the sweep exceeds 90%. No job
+// is pending at the restart, so recovery reads no result body: the RAM
+// cache stays empty, CAS hits stay zero until the first Do, and the
+// compacted journal holds zero records.
 func TestChaosCASColdRestartZeroRecompute(t *testing.T) {
 	specs := casCorpus()
 	ref := serialReference(t, specs)
@@ -88,14 +91,14 @@ func TestChaosCASColdRestartZeroRecompute(t *testing.T) {
 		}
 	}
 	if got := p1.Metrics().JournalStored.Load(); got != int64(len(specs)) {
-		t.Fatalf("journal stored pointers = %d, want %d (results not going to the store?)",
+		t.Fatalf("journal stored lines = %d, want %d (results not going to the store?)",
 			got, len(specs))
 	}
 	s1.Close()
 	j1.Close() // the "process" dies after a clean run
 
-	// Restart: the journal replay resolves every stored pointer from
-	// the rebuilt segment index; nothing is recomputed at boot.
+	// Restart: every accept was closed by a stored line, so replay finds
+	// nothing to do; nothing is recomputed or read at boot.
 	j2, err := OpenJournal(journalDir)
 	if err != nil {
 		t.Fatal(err)
@@ -114,19 +117,28 @@ func TestChaosCASColdRestartZeroRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.WarmedStore != len(specs) {
-		t.Errorf("warmed from store = %d, want %d", stats.WarmedStore, len(specs))
+	if stats.ResolvedFromStore != 0 {
+		t.Errorf("resolved from store = %d, want 0", stats.ResolvedFromStore)
 	}
 	if stats.Resubmitted != 0 {
 		t.Errorf("recovery re-ran %d jobs, want 0", stats.Resubmitted)
 	}
-	if got := p2.Metrics().JobsStarted.Load(); got != 0 {
+	m := p2.Metrics()
+	if got := m.JobsStarted.Load(); got != 0 {
 		t.Fatalf("recovery recomputed %d jobs", got)
+	}
+	if got := p2.Cache().Len(); got != 0 {
+		t.Errorf("recovery warmed %d cache entries, want 0", got)
+	}
+	if got := m.CASHits.Load(); got != 0 {
+		t.Errorf("recovery read %d store bodies, want 0", got)
+	}
+	if n := journalLines(t, journalDir); n != 0 {
+		t.Errorf("post-recovery journal holds %d records, want 0", n)
 	}
 
 	// The full-corpus sweep: the cache holds at most 1/4 of the working
 	// set, so most answers come off disk — but none are recomputed.
-	m := p2.Metrics()
 	ramBefore, casBefore := m.CacheHits.Load(), m.CASHits.Load()
 	for i, s := range specs {
 		res, err := p2.Do(context.Background(), s)
@@ -148,14 +160,9 @@ func TestChaosCASColdRestartZeroRecompute(t *testing.T) {
 		t.Errorf("combined-tier hit rate %.2f, want > 0.90", rate)
 	}
 
-	// The compacted journal is slim: stored pointers only, no bodies.
-	rep, err := ReplayJournal(journalDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.StoredIDs) != len(specs) || len(rep.Completed) != 0 || len(rep.Pending) != 0 {
-		t.Errorf("post-recovery journal: %d stored, %d full done, %d pending; want %d/0/0",
-			len(rep.StoredIDs), len(rep.Completed), len(rep.Pending), len(specs))
+	// Hits accept nothing, so the sweep leaves the journal empty too.
+	if n := journalLines(t, journalDir); n != 0 {
+		t.Errorf("journal holds %d records after the sweep, want 0", n)
 	}
 }
 
@@ -244,8 +251,8 @@ func TestChaosCASKillMidWrite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats.WarmedStore != len(specs)-killed {
-				t.Errorf("warmed from store = %d, want %d", stats.WarmedStore, len(specs)-killed)
+			if stats.ResolvedFromStore != 0 {
+				t.Errorf("resolved from store = %d, want 0", stats.ResolvedFromStore)
 			}
 			if stats.Resubmitted != killed || stats.FailedReplays != 0 {
 				t.Errorf("resubmitted = %d (failed %d), want %d",
@@ -278,7 +285,7 @@ func TestChaosCASKillMidWrite(t *testing.T) {
 }
 
 // TestChaosCASCrashBetweenStorePutAndJournal covers the narrowest
-// window: the CAS write is durable but the process dies before the slim
+// window: the CAS write is durable but the process dies before the
 // "stored" journal line lands. The accept looks pending on replay, but
 // recovery must resolve it from the store index — a recompute here
 // would double-run a job whose result already exists on disk.
@@ -300,7 +307,7 @@ func TestChaosCASCrashBetweenStorePutAndJournal(t *testing.T) {
 
 	// Simulate the window by hand: journal the accept (fsynced, as the
 	// pool would before running) and put the result body into the store,
-	// but never write the stored pointer.
+	// but never write the stored line.
 	j1, err := OpenJournal(journalDir)
 	if err != nil {
 		t.Fatal(err)
@@ -335,11 +342,14 @@ func TestChaosCASCrashBetweenStorePutAndJournal(t *testing.T) {
 	if stats.Resubmitted != 0 {
 		t.Errorf("recovery re-ran %d jobs despite a durable store body", stats.Resubmitted)
 	}
-	if stats.WarmedStore != 1 {
-		t.Errorf("warmed from store = %d, want 1", stats.WarmedStore)
+	if stats.ResolvedFromStore != 1 {
+		t.Errorf("resolved from store = %d, want 1", stats.ResolvedFromStore)
 	}
 	if got := p2.Metrics().JobsStarted.Load(); got != 0 {
 		t.Fatalf("recovery recomputed %d jobs, want 0", got)
+	}
+	if n := journalLines(t, journalDir); n != 0 {
+		t.Errorf("post-recovery journal holds %d records, want 0", n)
 	}
 	got, err := p2.Do(context.Background(), spec)
 	if err != nil {
@@ -347,6 +357,85 @@ func TestChaosCASCrashBetweenStorePutAndJournal(t *testing.T) {
 	}
 	if !bytes.Equal(normalizedJSON(t, got), ref[got.ID]) {
 		t.Error("recovered result differs from serial reference")
+	}
+}
+
+// TestChaosCASPutFailureLeavesAcceptOpen: the CAS record is the only
+// durable copy of a result, so a failed Put must not close the job's
+// accept. Exactly that job stays pending; the next boot re-runs it
+// once, and the recovered result is byte-identical to the serial
+// reference.
+func TestChaosCASPutFailureLeavesAcceptOpen(t *testing.T) {
+	specs := casCorpus()[:4]
+	ref := serialReference(t, specs)
+	lost, err := specs[3].Canon()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	journalDir := filepath.Join(dir, "journal")
+	storeDir := filepath.Join(dir, "store")
+	j1, err := OpenJournal(journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := openTestStore(t, storeDir)
+	p1 := NewPool(Options{Workers: 1, BreakerThreshold: -1, Journal: j1, Store: s1})
+	for i, s := range specs[:3] {
+		if _, err := p1.Do(context.Background(), s); err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+	}
+	s1.Close() // the disk tier fails under the running pool
+	if _, err := p1.Do(context.Background(), specs[3]); err != nil {
+		t.Fatalf("pool stopped serving on a store failure: %v", err)
+	}
+	if got := p1.Metrics().CASErrors.Load(); got != 1 {
+		t.Errorf("cas errors = %d, want 1", got)
+	}
+	j1.Close()
+
+	rep, err := ReplayJournal(journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Pending) != 1 || rep.PendingIDs[0] != lost.Hash() {
+		t.Fatalf("pending after the failed Put = %v, want exactly %s", rep.PendingIDs, lost.Hash()[:12])
+	}
+
+	j2, err := OpenJournal(journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	s2 := openTestStore(t, storeDir)
+	defer s2.Close()
+	p2 := NewPool(Options{Workers: 1, BreakerThreshold: -1, Journal: j2, Store: s2})
+	stats, err := RecoverFromJournal(context.Background(), p2, journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Resubmitted != 1 || stats.FailedReplays != 0 || stats.ResolvedFromStore != 0 {
+		t.Errorf("recovery stats = %+v, want exactly one resubmission", stats)
+	}
+	if got := p2.Metrics().JobsStarted.Load(); got != 1 {
+		t.Errorf("recovery ran %d jobs, want 1", got)
+	}
+	for i, s := range specs {
+		res, err := p2.Do(context.Background(), s)
+		if err != nil {
+			t.Fatalf("spec %d after recovery: %v", i, err)
+		}
+		if !res.Cached {
+			t.Errorf("spec %d recomputed after recovery", i)
+		}
+		if !bytes.Equal(normalizedJSON(t, res), ref[res.ID]) {
+			t.Errorf("spec %d: recovered result differs from serial reference", i)
+		}
+	}
+	if got := p2.Metrics().JobsStarted.Load(); got != 1 {
+		t.Errorf("post-recovery sweep ran %d jobs in total, want 1", got)
 	}
 }
 

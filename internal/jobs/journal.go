@@ -17,25 +17,23 @@ import (
 // journalFile is the segment name inside the journal directory.
 const journalFile = "journal.jsonl"
 
-// JournalRecord is one line of the append-only job journal: a write-ahead
-// log of accepted and finished jobs. "accept" records carry the full
-// canonical spec and are fsynced before the job runs, so a crash between
-// accept and done leaves enough on disk to re-run the job; "done"
-// records carry the full result, so replay re-warms the cache without
-// recomputing anything; "fail" records close out jobs whose failure was
-// terminal (spec errors, exhausted retries) so replay does not chase
-// them forever. "stored" records are slim terminal pointers written
-// when the result body is durable in the CAS store instead: the journal
-// then carries only the content address, and replay resolves the body
-// from the store's own index.
+// JournalRecord is one line of the append-only job journal: an intent
+// log, not a result archive. "accept" records carry the full canonical
+// spec and are fsynced before the job runs, so a crash between accept
+// and completion leaves enough on disk to re-run the job. "stored"
+// records close an accept once the result body is durable in the CAS
+// store, the only durable copy of a finished result. "fail" records
+// close out jobs whose failure was terminal (spec errors, exhausted
+// retries) so replay does not chase them forever. A legacy "done" line
+// from an older journal replays as a close-out: the body it carries is
+// never decoded, and that result recomputes on demand.
 type JournalRecord struct {
-	Op     string  `json:"op"` // accept | done | fail | stored
-	ID     string  `json:"id"`
-	Spec   *Spec   `json:"spec,omitempty"`
-	Result *Result `json:"result,omitempty"`
-	Error  string  `json:"error,omitempty"`
-	Class  Class   `json:"class,omitempty"`
-	T      string  `json:"t,omitempty"` // RFC3339Nano append time
+	Op    string `json:"op"` // accept | stored | fail
+	ID    string `json:"id"`
+	Spec  *Spec  `json:"spec,omitempty"`
+	Error string `json:"error,omitempty"`
+	Class Class  `json:"class,omitempty"`
+	T     string `json:"t,omitempty"` // RFC3339Nano append time
 }
 
 // Journal is the crash-safe job log. All methods are safe for concurrent
@@ -84,17 +82,11 @@ func (j *Journal) Accept(id string, spec Spec) error {
 	return j.append(JournalRecord{Op: "accept", ID: id, Spec: &spec}, true)
 }
 
-// Done journals a completed job with its full result, fsynced, so a
-// restart can re-warm the cache entry instead of recomputing.
-func (j *Journal) Done(id string, res *Result) error {
-	return j.append(JournalRecord{Op: "done", ID: id, Result: res}, true)
-}
-
-// Stored journals that a job's result is durable in the CAS store — a
-// pointer, not a body. Unsynced by design: the CAS record it references
-// already hit disk (the store group-commits its fsyncs), and recovery
-// consults the store before re-running any pending accept, so a lost
-// stored line is re-derived from the store index, never recomputed.
+// Stored closes a job's accept once its result is durable in the CAS
+// store. Unsynced by design: the CAS record already hit disk (the store
+// group-commits its fsyncs), and recovery looks up every pending accept
+// in the store index before re-running it, so a lost stored line costs
+// an index lookup, never a recompute.
 func (j *Journal) Stored(id string) error {
 	return j.append(JournalRecord{Op: "stored", ID: id}, false)
 }
@@ -180,23 +172,18 @@ const MaxReplayGenerations = 3
 
 // Replayed is what a journal replay recovered.
 type Replayed struct {
-	// Pending are accepted jobs with no terminal record — work a crash
+	// Pending are accepted jobs with no closing record — work a crash
 	// interrupted, in acceptance order.
 	Pending []Spec
 	// PendingAccepts holds, parallel to Pending, how many accept records
-	// the journal carries for each pending job — one per boot that tried
-	// it, so accepts-1 is the number of replays already attempted.
+	// the journal carries for each pending job since its last close —
+	// one per boot that tried it, so accepts-1 is the number of replays
+	// already attempted.
 	PendingAccepts []int
 	// PendingIDs holds, parallel to Pending, the journaled job IDs
 	// (canonical spec hashes), so callers need not re-derive them.
 	PendingIDs []string
-	// Completed are finished results, newest record winning, in
-	// completion order; replaying them re-warms the cache.
-	Completed []*Result
-	// StoredIDs are jobs whose terminal record is a slim CAS pointer:
-	// the result body lives in the store, keyed by this content address.
-	StoredIDs []string
-	// Failed counts jobs whose terminal record was a failure.
+	// Failed counts jobs whose closing record was a failure.
 	Failed int
 	// Truncated reports that the final line was a partial write (the
 	// crash landed mid-append) and was ignored.
@@ -204,8 +191,10 @@ type Replayed struct {
 }
 
 // ReplayJournal reads dir's journal and classifies every job it
-// mentions. It tolerates a truncated final line — the signature of a
-// crash during append — and an absent journal (nothing to recover).
+// mentions by its newest record: an accept opens the job, and a stored,
+// fail, or legacy done line closes it. It tolerates a truncated final
+// line — the signature of a crash during append — and an absent journal
+// (nothing to recover).
 func ReplayJournal(dir string) (Replayed, error) {
 	var rep Replayed
 	f, err := os.Open(filepath.Join(dir, journalFile))
@@ -218,13 +207,9 @@ func ReplayJournal(dir string) (Replayed, error) {
 	defer f.Close()
 
 	type entry struct {
-		spec     *Spec
-		result   *Result
-		failed   bool
-		stored   bool
-		order    int
-		terminal bool
-		accepts  int
+		spec    *Spec
+		accepts int // accepts since the last close; 0 means closed
+		failed  bool
 	}
 	byID := map[string]*entry{}
 	var order []string
@@ -246,7 +231,7 @@ func ReplayJournal(dir string) (Replayed, error) {
 		}
 		e, ok := byID[rec.ID]
 		if !ok {
-			e = &entry{order: len(order)}
+			e = &entry{}
 			byID[rec.ID] = e
 			order = append(order, rec.ID)
 		}
@@ -254,17 +239,13 @@ func ReplayJournal(dir string) (Replayed, error) {
 		case "accept":
 			e.spec = rec.Spec
 			e.accepts++
-		case "done":
-			e.result = rec.Result
 			e.failed = false
-			e.terminal = true
-		case "stored":
-			e.stored = true
+		case "stored", "done":
+			e.accepts = 0
 			e.failed = false
-			e.terminal = true
 		case "fail":
+			e.accepts = 0
 			e.failed = true
-			e.terminal = true
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -278,13 +259,9 @@ func ReplayJournal(dir string) (Replayed, error) {
 	for _, id := range order {
 		e := byID[id]
 		switch {
-		case e.terminal && e.failed:
+		case e.failed:
 			rep.Failed++
-		case e.terminal && e.result != nil:
-			rep.Completed = append(rep.Completed, e.result)
-		case e.stored:
-			rep.StoredIDs = append(rep.StoredIDs, id)
-		case e.spec != nil:
+		case e.accepts > 0 && e.spec != nil:
 			rep.Pending = append(rep.Pending, *e.spec)
 			rep.PendingAccepts = append(rep.PendingAccepts, e.accepts)
 			rep.PendingIDs = append(rep.PendingIDs, id)
@@ -293,75 +270,63 @@ func ReplayJournal(dir string) (Replayed, error) {
 	return rep, nil
 }
 
-// FindResult scans the journal for the completed result with the given
-// content address — the durable backstop behind GET /v1/results/{id}
-// when the in-memory cache has evicted (or never held) the entry. The
-// newest done record wins, matching replay semantics. A missing or
-// unreadable journal simply reports not-found: result lookup is a
-// best-effort read path, never an error source.
-func (j *Journal) FindResult(id string) (*Result, bool) {
-	if j == nil {
-		return nil, false
-	}
-	rep, err := ReplayJournal(j.dir)
-	if err != nil {
-		return nil, false
-	}
-	for _, res := range rep.Completed {
-		if res != nil && res.ID == id {
-			return res, true
-		}
-	}
-	return nil, false
+// CompactStats summarizes one compaction.
+type CompactStats struct {
+	// BeforeBytes/AfterBytes are the journal file sizes around the
+	// rewrite.
+	BeforeBytes int64
+	AfterBytes  int64
+	// PendingKept counts in-flight jobs whose accept records were
+	// preserved — compacting a live journal must not orphan work a
+	// crash would need to recover.
+	PendingKept int
+	// DroppedFailed counts terminally failed jobs whose history was
+	// discarded.
+	DroppedFailed int
 }
 
-// Compact atomically rewrites the journal to hold only done records for
-// the given results plus slim stored pointers for results durable in
-// the CAS store, dropping the acceptance/failure history. Called after
-// a successful replay so the journal does not grow without bound across
-// restarts — with a store attached, the rewrite is mostly pointers.
-func (j *Journal) Compact(completed []*Result, storedIDs []string) error {
+// CompactNow atomically rewrites the journal to hold only the accepts of
+// pending jobs — repeated per replay generation, so the poison-job
+// crash-loop marker survives compaction. Closed jobs (stored, failed,
+// legacy done) leave no line behind. Appends are blocked for the
+// duration, giving the rewrite a consistent snapshot. Recovery ends with
+// it, and gapd runs it on SIGHUP.
+func (j *Journal) CompactNow() (CompactStats, error) {
 	if j == nil {
-		return nil
+		return CompactStats{}, nil
 	}
+	dir := j.dir // immutable after OpenJournal
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	var st CompactStats
+	if fi, err := os.Stat(j.path); err == nil {
+		st.BeforeBytes = fi.Size()
+	}
+	rep, err := ReplayJournal(dir)
+	if err != nil {
+		return st, err
+	}
 	now := time.Now().UTC().Format(time.RFC3339Nano)
-	lines, err := doneLines(completed, now)
-	if err != nil {
-		return err
-	}
-	stored, err := storedLines(storedIDs, now)
-	if err != nil {
-		return err
-	}
-	return j.rewriteLocked(append(lines, stored...))
-}
-
-// storedLines marshals slim stored-pointer records.
-func storedLines(ids []string, now string) ([][]byte, error) {
-	lines := make([][]byte, 0, len(ids))
-	for _, id := range ids {
-		line, err := json.Marshal(JournalRecord{Op: "stored", ID: id, T: now})
+	var lines [][]byte
+	for i := range rep.Pending {
+		spec := rep.Pending[i]
+		line, err := json.Marshal(JournalRecord{Op: "accept", ID: rep.PendingIDs[i], Spec: &spec, T: now})
 		if err != nil {
-			return nil, fmt.Errorf("jobs: journal compact: %w", err)
+			return st, fmt.Errorf("jobs: journal compact: %w", err)
 		}
-		lines = append(lines, line)
-	}
-	return lines, nil
-}
-
-// doneLines marshals done records for the completed results.
-func doneLines(completed []*Result, now string) ([][]byte, error) {
-	lines := make([][]byte, 0, len(completed))
-	for _, res := range completed {
-		line, err := json.Marshal(JournalRecord{Op: "done", ID: res.ID, Result: res, T: now})
-		if err != nil {
-			return nil, fmt.Errorf("jobs: journal compact: %w", err)
+		for n := 0; n < rep.PendingAccepts[i]; n++ {
+			lines = append(lines, line)
 		}
-		lines = append(lines, line)
 	}
-	return lines, nil
+	st.PendingKept = len(rep.Pending)
+	st.DroppedFailed = rep.Failed
+	if err := j.rewriteLocked(lines); err != nil {
+		return st, err
+	}
+	if fi, err := os.Stat(j.path); err == nil {
+		st.AfterBytes = fi.Size()
+	}
+	return st, nil
 }
 
 // rewriteLocked atomically replaces the journal with the given record
@@ -406,87 +371,12 @@ func (j *Journal) rewriteLocked(lines [][]byte) error {
 	return nil
 }
 
-// CompactStats summarizes one on-demand compaction.
-type CompactStats struct {
-	// BeforeBytes/AfterBytes are the journal file sizes around the
-	// rewrite.
-	BeforeBytes int64
-	AfterBytes  int64
-	// Completed counts done records kept (one per completed job, the
-	// newest result winning).
-	Completed int
-	// StoredKept counts slim CAS-pointer records carried through.
-	StoredKept int
-	// PendingKept counts in-flight jobs whose accept records were
-	// preserved — compacting a live journal must not orphan work a
-	// crash would need to recover.
-	PendingKept int
-	// DroppedFailed counts terminally failed jobs whose history was
-	// discarded.
-	DroppedFailed int
-}
-
-// CompactNow compacts the live journal on demand (the SIGHUP path):
-// duplicate accepts, superseded done records, and terminal-failure
-// history collapse to one done record per completed job, while pending
-// jobs keep their accept records — repeated per replay generation, so
-// the poison-job crash-loop marker survives compaction. Appends are
-// blocked for the duration, giving the rewrite a consistent snapshot.
-func (j *Journal) CompactNow() (CompactStats, error) {
-	if j == nil {
-		return CompactStats{}, nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var st CompactStats
-	if fi, err := os.Stat(j.path); err == nil {
-		st.BeforeBytes = fi.Size()
-	}
-	rep, err := ReplayJournal(j.dir)
-	if err != nil {
-		return st, err
-	}
-	now := time.Now().UTC().Format(time.RFC3339Nano)
-	lines, err := doneLines(rep.Completed, now)
-	if err != nil {
-		return st, err
-	}
-	stored, err := storedLines(rep.StoredIDs, now)
-	if err != nil {
-		return st, err
-	}
-	lines = append(lines, stored...)
-	for i := range rep.Pending {
-		spec := rep.Pending[i]
-		line, err := json.Marshal(JournalRecord{Op: "accept", ID: rep.PendingIDs[i], Spec: &spec, T: now})
-		if err != nil {
-			return st, fmt.Errorf("jobs: journal compact: %w", err)
-		}
-		for n := 0; n < rep.PendingAccepts[i]; n++ {
-			lines = append(lines, line)
-		}
-	}
-	st.Completed = len(rep.Completed)
-	st.StoredKept = len(rep.StoredIDs)
-	st.PendingKept = len(rep.Pending)
-	st.DroppedFailed = rep.Failed
-	if err := j.rewriteLocked(lines); err != nil {
-		return st, err
-	}
-	if fi, err := os.Stat(j.path); err == nil {
-		st.AfterBytes = fi.Size()
-	}
-	return st, nil
-}
-
 // RecoverStats summarizes a boot-time journal recovery.
 type RecoverStats struct {
-	// WarmedCache counts completed results replayed into the cache.
-	WarmedCache int
-	// WarmedStore counts results resolved from the CAS store during
-	// recovery — stored pointers re-warmed and pending jobs whose
-	// bodies were already durable on disk (no recompute needed).
-	WarmedStore int
+	// ResolvedFromStore counts pending jobs whose result the CAS store
+	// already held — the crash landed between the store's fsync and the
+	// stored line. Each is closed by an index lookup, not re-run.
+	ResolvedFromStore int
 	// Resubmitted counts pending jobs re-run through the pool.
 	Resubmitted int
 	// FailedReplays counts resubmitted jobs that failed again.
@@ -503,13 +393,13 @@ type RecoverStats struct {
 	Truncated bool
 }
 
-// RecoverFromJournal replays dir's journal into the pool: completed
-// results re-warm the result cache (no recomputation), pending jobs —
-// accepted before a crash but never finished — are re-executed through
-// the pool, and the journal is compacted to the surviving state.
-// Results recovered this way are exact: the cache entry a replay warms
-// is byte-for-byte the entry the original run produced, and re-executed
-// jobs recompute from the same canonical spec.
+// RecoverFromJournal re-drives dir's pending intents through the pool:
+// accepts the store already answers are closed with a stored line,
+// the rest are re-executed (poison jobs excepted), and the journal is
+// compacted to whatever is still pending. Recovery reads no result
+// body: finished results stay in the CAS store and are served from it
+// on demand, so re-executed jobs recompute from the same canonical spec
+// and everything else is exactly the bytes the original run stored.
 func RecoverFromJournal(ctx context.Context, p *Pool, dir string) (RecoverStats, error) {
 	var stats RecoverStats
 	rep, err := ReplayJournal(dir)
@@ -518,34 +408,18 @@ func RecoverFromJournal(ctx context.Context, p *Pool, dir string) (RecoverStats,
 	}
 	stats.Truncated = rep.Truncated
 	stats.SkippedTerminal = rep.Failed
-	for _, res := range rep.Completed {
-		p.Cache().Put(res.ID, res)
-		p.metrics.JournalReplayedDone.Add(1)
-		stats.WarmedCache++
-	}
-	// Stored pointers resolve through the CAS index — the body never
-	// left disk, so warming is a read, not a recompute. A pointer whose
-	// body the store no longer holds (budget-evicted, dropped corrupt)
-	// is silently released: the job recomputes on next demand.
-	for _, id := range rep.StoredIDs {
-		if res, ok := p.storeGet(id); ok {
-			p.Cache().Put(id, res)
-			p.metrics.JournalReplayedDone.Add(1)
-			stats.WarmedStore++
-		}
-	}
 	for i, spec := range rep.Pending {
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
+		id := rep.PendingIDs[i]
 		// A crash can land between the CAS fsync and the stored journal
 		// line: the accept looks pending but the body is already
-		// durable. Check the store before re-running.
-		if res, ok := p.storeGet(spec.Hash()); ok {
-			p.Cache().Put(res.ID, res)
-			p.journalStored(res.ID)
+		// durable. An index lookup closes it without a recompute.
+		if p.store.Has(id) {
+			p.journalStored(id)
 			p.metrics.JournalReplayedDone.Add(1)
-			stats.WarmedStore++
+			stats.ResolvedFromStore++
 			continue
 		}
 		// A pending job whose accept count already shows
@@ -555,7 +429,7 @@ func RecoverFromJournal(ctx context.Context, p *Pool, dir string) (RecoverStats,
 		if rep.PendingAccepts[i]-1 >= MaxReplayGenerations {
 			p.metrics.JournalReplaysExhausted.Add(1)
 			stats.ReplaysExhausted++
-			p.journalFail(spec.Hash(), fmt.Errorf(
+			p.journalFail(id, fmt.Errorf(
 				"jobs: replay budget exhausted after %d generations (poison job)",
 				rep.PendingAccepts[i]-1), ClassFatal)
 			continue
@@ -566,45 +440,8 @@ func RecoverFromJournal(ctx context.Context, p *Pool, dir string) (RecoverStats,
 			stats.FailedReplays++
 		}
 	}
-	// Compact the journal to the surviving state: the replayed results
-	// plus whatever the resubmissions just completed, dropping the
-	// pre-crash accept/fail history so the file does not grow without
-	// bound across restarts. With a store attached, every survivor is
-	// migrated into the CAS and the journal keeps only slim pointers —
-	// the write-ahead log truncates to the store index.
 	if j := p.opt.Journal; j != nil && j.Dir() == dir {
-		var keep []*Result
-		var storedIDs []string
-		seen := map[string]bool{}
-		add := func(res *Result) {
-			if res == nil || res.ID == "" || seen[res.ID] {
-				return
-			}
-			seen[res.ID] = true
-			if p.store != nil {
-				if err := p.storePut(res); err == nil {
-					storedIDs = append(storedIDs, res.ID)
-					return
-				}
-				p.metrics.CASErrors.Add(1)
-			}
-			keep = append(keep, res)
-		}
-		for _, res := range rep.Completed {
-			add(res)
-		}
-		for _, spec := range rep.Pending {
-			if res, ok := p.Cache().Get(spec.Hash()); ok {
-				add(res)
-			}
-		}
-		for _, id := range rep.StoredIDs {
-			if !seen[id] && p.store != nil && p.store.Has(id) {
-				seen[id] = true
-				storedIDs = append(storedIDs, id)
-			}
-		}
-		if err := j.Compact(keep, storedIDs); err != nil {
+		if _, err := j.CompactNow(); err != nil {
 			return stats, err
 		}
 	}

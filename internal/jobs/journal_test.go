@@ -1,11 +1,51 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// journalLines counts the records in dir's journal file.
+func journalLines(t *testing.T, dir string) int {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(b, []byte("\n"))
+}
+
+// appendLegacyDone writes the fat "done" line an older journal carried:
+// the job's full result inline.
+func appendLegacyDone(t *testing.T, dir string, res *Result) {
+	t.Helper()
+	line, err := json.Marshal(map[string]any{"op": "done", "id": res.ID, "result": res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// newStoredPool builds a journaled pool over a fresh store in its own
+// temp dir.
+func newStoredPool(t *testing.T, j *Journal) *Pool {
+	t.Helper()
+	s := openTestStore(t, t.TempDir())
+	t.Cleanup(func() { s.Close() })
+	return NewPool(Options{Workers: 1, Journal: j, Store: s})
+}
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -16,7 +56,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	specA, _ := smallEval(1).Canon()
 	specB, _ := smallEval(2).Canon()
 	specC, _ := smallEval(3).Canon()
-	resA := &Result{ID: specA.Hash(), Kind: specA.Kind, Spec: specA}
 
 	if err := j.Accept(specA.Hash(), specA); err != nil {
 		t.Fatal(err)
@@ -27,7 +66,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.Accept(specC.Hash(), specC); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Done(specA.Hash(), resA); err != nil {
+	if err := j.Stored(specA.Hash()); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Fail(specC.Hash(), "spec rot", ClassSpec); err != nil {
@@ -40,9 +79,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	rep, err := ReplayJournal(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(rep.Completed) != 1 || rep.Completed[0].ID != specA.Hash() {
-		t.Errorf("completed = %+v", rep.Completed)
 	}
 	if len(rep.Pending) != 1 || rep.Pending[0].Hash() != specB.Hash() {
 		t.Errorf("pending = %+v", rep.Pending)
@@ -97,11 +133,16 @@ func TestJournalMissingDirIsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Pending)+len(rep.Completed)+rep.Failed != 0 {
+	if len(rep.Pending)+rep.Failed != 0 {
 		t.Errorf("replay of absent journal = %+v", rep)
 	}
 }
 
+// TestJournalCompact: a journal written by an older build mixes legacy
+// fat done lines, stored lines, failures, and repeated accepts. Replay
+// leaves none of the closed jobs pending (a done line's body is never
+// decoded into anything), a job re-accepted after its close is open
+// again, and compaction keeps only the pending accepts.
 func TestJournalCompact(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir)
@@ -109,41 +150,82 @@ func TestJournalCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	specA, _ := smallEval(1).Canon()
-	specB, _ := smallEval(2).Canon()
-	resA := &Result{ID: specA.Hash(), Kind: specA.Kind, Spec: specA}
-	j.Accept(specA.Hash(), specA)
-	j.Accept(specB.Hash(), specB)
-	j.Done(specA.Hash(), resA)
-	j.Fail(specB.Hash(), "gone", ClassFatal)
+	done, _ := smallEval(1).Canon()
+	stored, _ := smallEval(2).Canon()
+	failed, _ := smallEval(3).Canon()
+	pending, _ := smallEval(4).Canon()
+	reopened, _ := smallEval(5).Canon()
 
-	if err := j.Compact([]*Result{resA}, nil); err != nil {
-		t.Fatal(err)
-	}
+	j.Accept(done.Hash(), done)
+	j.Accept(done.Hash(), done)
+	j.Accept(stored.Hash(), stored)
+	j.Accept(pending.Hash(), pending)
+	appendLegacyDone(t, dir, &Result{ID: done.Hash(), Kind: done.Kind, Spec: done})
+	j.Stored(stored.Hash())
+	j.Accept(failed.Hash(), failed)
+	j.Fail(failed.Hash(), "gone", ClassFatal)
+	j.Accept(reopened.Hash(), reopened)
+	j.Stored(reopened.Hash())
+	j.Accept(reopened.Hash(), reopened)
+	j.Accept(pending.Hash(), pending)
+
 	rep, err := ReplayJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Completed) != 1 || len(rep.Pending) != 0 || rep.Failed != 0 {
-		t.Errorf("after compact: %+v", rep)
+	want := map[string]int{pending.Hash(): 2, reopened.Hash(): 1}
+	if len(rep.Pending) != len(want) || rep.Failed != 1 || rep.Truncated {
+		t.Fatalf("replay: %d pending, %d failed, truncated=%v; want 2, 1, false",
+			len(rep.Pending), rep.Failed, rep.Truncated)
+	}
+	for i, id := range rep.PendingIDs {
+		if want[id] != rep.PendingAccepts[i] {
+			t.Errorf("pending %s: %d accepts, want %d", id[:12], rep.PendingAccepts[i], want[id])
+		}
+	}
+
+	st, err := j.CompactNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PendingKept != 2 || st.DroppedFailed != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := journalLines(t, dir); got != 3 {
+		t.Errorf("compacted journal holds %d lines, want the 3 pending accepts", got)
+	}
+	if strings.Contains(string(b), `"result"`) || strings.Contains(string(b), `"op":"done"`) ||
+		strings.Contains(string(b), `"op":"stored"`) || strings.Contains(string(b), `"op":"fail"`) {
+		t.Errorf("compacted journal kept a closing record:\n%s", b)
+	}
+	after, err := ReplayJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after.Pending) != 2 || after.Failed != 0 {
+		t.Errorf("after compact: %+v", after)
 	}
 
 	// The compacted journal must still accept appends.
-	specC, _ := smallEval(3).Canon()
-	if err := j.Accept(specC.Hash(), specC); err != nil {
+	extra, _ := smallEval(6).Canon()
+	if err := j.Accept(extra.Hash(), extra); err != nil {
 		t.Fatal(err)
 	}
-	rep, _ = ReplayJournal(dir)
-	if len(rep.Pending) != 1 {
-		t.Errorf("append after compact lost: %+v", rep)
+	after, _ = ReplayJournal(dir)
+	if len(after.Pending) != 3 {
+		t.Errorf("append after compact lost: %+v", after)
 	}
 }
 
 // TestJournalCompactNow drives the SIGHUP path: on-demand compaction of
-// a live journal must shrink the file, keep one done record per
-// completed job, preserve pending accepts — repeated per replay
-// generation, so the poison-job marker survives — drop terminal-failure
-// history, report accurate stats, and leave the journal appendable.
+// a live journal must shrink the file, drop every closed job, preserve
+// pending accepts — repeated per replay generation, so the poison-job
+// marker survives — report accurate stats, and leave the journal
+// appendable.
 func TestJournalCompactNow(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir)
@@ -154,13 +236,12 @@ func TestJournalCompactNow(t *testing.T) {
 	done, _ := smallEval(1).Canon()
 	pending, _ := smallEval(2).Canon()
 	failed, _ := smallEval(3).Canon()
-	resDone := &Result{ID: done.Hash(), Kind: done.Kind, Spec: done}
 
 	// A noisy history: duplicate accepts for the completed job, two boot
 	// generations for the pending one, and a terminal failure.
 	j.Accept(done.Hash(), done)
 	j.Accept(done.Hash(), done)
-	j.Done(done.Hash(), resDone)
+	j.Stored(done.Hash())
 	j.Accept(pending.Hash(), pending)
 	j.Accept(pending.Hash(), pending)
 	j.Accept(failed.Hash(), failed)
@@ -170,19 +251,19 @@ func TestJournalCompactNow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Completed != 1 || st.PendingKept != 1 || st.DroppedFailed != 1 {
+	if st.PendingKept != 1 || st.DroppedFailed != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.BeforeBytes <= st.AfterBytes || st.AfterBytes <= 0 {
 		t.Errorf("compaction did not shrink: %d -> %d bytes", st.BeforeBytes, st.AfterBytes)
 	}
+	if n := journalLines(t, dir); n != 2 {
+		t.Errorf("compacted journal holds %d records, want the 2 pending accepts", n)
+	}
 
 	rep, err := ReplayJournal(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(rep.Completed) != 1 || rep.Completed[0].ID != done.Hash() {
-		t.Errorf("completed after compaction = %+v", rep.Completed)
 	}
 	if len(rep.Pending) != 1 || rep.Pending[0].Hash() != pending.Hash() {
 		t.Errorf("pending after compaction = %+v", rep.Pending)
@@ -233,7 +314,7 @@ func TestJournalUnwritableDegrades(t *testing.T) {
 		t.Error("failed append left journal healthy")
 	}
 
-	p := NewPool(Options{Workers: 1, Journal: j})
+	p := newStoredPool(t, j)
 	res, err := p.Do(context.Background(), smallEval(1))
 	if err != nil || res == nil {
 		t.Fatalf("pool stopped serving on journal failure: %v", err)
@@ -241,6 +322,23 @@ func TestJournalUnwritableDegrades(t *testing.T) {
 	if p.Metrics().JournalErrors.Load() == 0 {
 		t.Error("journal errors not counted")
 	}
+}
+
+// TestNewPoolRejectsJournalWithoutStore: the journal holds only
+// intents, so a journal with no store to hold results is not a
+// configuration.
+func TestNewPoolRejectsJournalWithoutStore(t *testing.T) {
+	j, err := OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	defer func() {
+		if recover() == nil {
+			t.Error("NewPool accepted a journal without a store")
+		}
+	}()
+	NewPool(Options{Workers: 1, Journal: j})
 }
 
 // TestRecoveryFailsPoisonJobsTerminally: a pending job whose accept
@@ -277,7 +375,7 @@ func TestRecoveryFailsPoisonJobsTerminally(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	p := NewPool(Options{Workers: 1, Journal: j2})
+	p := newStoredPool(t, j2)
 	ran := map[string]int{}
 	p.runFn = func(ctx context.Context, c Spec, _ int) (*Result, error) {
 		ran[c.Hash()]++
@@ -304,13 +402,17 @@ func TestRecoveryFailsPoisonJobsTerminally(t *testing.T) {
 	}
 
 	// The verdict converges: the next boot sees nothing pending — the
-	// poison job is terminal, the healthy one completed.
+	// poison job is terminal, the healthy one completed — and the
+	// compacted journal holds no record of either.
 	rep, err := ReplayJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Pending) != 0 {
 		t.Errorf("post-recovery journal still has %d pending jobs", len(rep.Pending))
+	}
+	if n := journalLines(t, dir); n != 0 {
+		t.Errorf("post-recovery journal holds %d records, want 0", n)
 	}
 }
 
@@ -340,9 +442,9 @@ func TestReplayCountsAcceptGenerations(t *testing.T) {
 	}
 }
 
-// TestPoolJournalsLifecycle: accepted and completed jobs land in the
-// journal with enough to recover: the accept's canonical spec and the
-// done's full result.
+// TestPoolJournalsLifecycle: a completed job leaves exactly two journal
+// records — its fsynced accept with the canonical spec, and the stored
+// line that closes it — and its result body lives only in the store.
 func TestPoolJournalsLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir)
@@ -350,24 +452,83 @@ func TestPoolJournalsLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	p := NewPool(Options{Workers: 1, Journal: j})
+	p := newStoredPool(t, j)
 	res, err := p.Do(context.Background(), smallEval(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayJournal(dir)
+	b, err := os.ReadFile(filepath.Join(dir, journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Completed) != 1 || rep.Completed[0].ID != res.ID {
-		t.Fatalf("journal completed = %+v", rep.Completed)
+	var ops []string
+	for _, line := range bytes.Split(bytes.TrimSpace(b), []byte("\n")) {
+		var rec JournalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.ID != res.ID {
+			t.Errorf("journal record for %s, want %s", rec.ID[:12], res.ID[:12])
+		}
+		ops = append(ops, rec.Op)
 	}
-	if rep.Completed[0].Evaluation == nil ||
-		rep.Completed[0].Evaluation.ShippedMHz != res.Evaluation.ShippedMHz {
-		t.Error("journal result payload does not match the served result")
+	if strings.Join(ops, ",") != "accept,stored" {
+		t.Errorf("journal ops = %v, want [accept stored]", ops)
 	}
-	if p.Metrics().JournalAccepted.Load() != 1 || p.Metrics().JournalCompleted.Load() != 1 {
-		t.Errorf("journal counters: accepted=%d completed=%d",
-			p.Metrics().JournalAccepted.Load(), p.Metrics().JournalCompleted.Load())
+	if bytes.Contains(b, []byte(`"result"`)) {
+		t.Error("journal carries a result body")
+	}
+	stored, ok := p.storeGet(res.ID)
+	if !ok || stored.Evaluation == nil ||
+		stored.Evaluation.ShippedMHz != res.Evaluation.ShippedMHz {
+		t.Error("stored result payload does not match the served result")
+	}
+	if p.Metrics().JournalAccepted.Load() != 1 || p.Metrics().JournalStored.Load() != 1 {
+		t.Errorf("journal counters: accepted=%d stored=%d",
+			p.Metrics().JournalAccepted.Load(), p.Metrics().JournalStored.Load())
+	}
+}
+
+// TestAdoptedResultsWriteNoJournalLine: a replica push (StoreResult) and
+// a read-repair fetch install a result this node never accepted, so
+// they land in RAM and the store but leave the journal untouched.
+func TestAdoptedResultsWriteNoJournalLine(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	c1, _ := smallEval(1).Canon()
+	c2, _ := smallEval(2).Canon()
+	replica, err := Run(context.Background(), c1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repaired, err := Run(context.Background(), c2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	p := newStoredPool(t, j)
+	if created, err := p.StoreResult(replica); err != nil || !created {
+		t.Fatalf("StoreResult = %v, %v", created, err)
+	}
+	p.SetReadRepair(func(ctx context.Context, id string) (*Result, bool) {
+		return repaired, id == repaired.ID
+	})
+	if _, ok := p.readRepair(context.Background(), repaired.ID); !ok {
+		t.Fatal("read-repair did not adopt the fetched result")
+	}
+	for _, id := range []string{replica.ID, repaired.ID} {
+		if !p.Store().Has(id) {
+			t.Errorf("adopted result %s not in the store", id[:12])
+		}
+	}
+	if n := journalLines(t, dir); n != 0 {
+		t.Errorf("adoption wrote %d journal records, want 0", n)
+	}
+	if got := p.Metrics().JournalStored.Load() + p.Metrics().JournalAccepted.Load(); got != 0 {
+		t.Errorf("adoption counted %d journal writes, want 0", got)
 	}
 }

@@ -45,11 +45,10 @@ type Metrics struct {
 	BreakerShortCircuits atomic.Int64 // submissions rejected by an open breaker
 
 	JournalAccepted         atomic.Int64 // accept records fsynced
-	JournalCompleted        atomic.Int64 // done records written
-	JournalStored           atomic.Int64 // slim CAS-pointer records written
+	JournalStored           atomic.Int64 // stored lines closing an accept
 	JournalFailed           atomic.Int64 // terminal fail records written
 	JournalErrors           atomic.Int64 // journal writes that failed (degraded durability)
-	JournalReplayedDone     atomic.Int64 // completed results re-warmed from the journal
+	JournalReplayedDone     atomic.Int64 // pending accepts the store already answered, closed at recovery
 	JournalReplayedPending  atomic.Int64 // pending jobs re-executed from the journal
 	JournalReplaysExhausted atomic.Int64 // poison jobs failed terminally after MaxReplayGenerations
 
@@ -121,7 +120,6 @@ func (m *Metrics) Snapshot() map[string]any {
 	}
 	journal := map[string]any{
 		"accepted":          m.JournalAccepted.Load(),
-		"completed":         m.JournalCompleted.Load(),
 		"stored":            m.JournalStored.Load(),
 		"failed":            m.JournalFailed.Load(),
 		"errors":            m.JournalErrors.Load(),

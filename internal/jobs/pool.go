@@ -72,15 +72,16 @@ type Options struct {
 	// BreakerCooldown is how long a tripped breaker rejects jobs
 	// before half-opening for a probe (default 10s).
 	BreakerCooldown time.Duration
-	// Journal, when set, write-ahead-logs accepted jobs (fsync before
-	// run) and their outcomes, so a restart can recover pending work
-	// and warm cache keys via RecoverFromJournal.
+	// Journal, when set, is the intent log: accepted jobs are fsynced
+	// before they run and closed once their result is in Store or
+	// their failure is terminal, so RecoverFromJournal can re-run the
+	// work a crash interrupted. A journal requires a Store.
 	Journal *Journal
-	// Store, when set, adds a disk tier under the RAM cache: completed
-	// results persist as content-addressed records, cache misses
-	// consult the store before recomputing, and the store's admission
-	// sketch gates RAM promotion (TinyLFU). With a store, the journal
-	// records slim "stored" pointers instead of full result bodies.
+	// Store, when set, adds a disk tier under the RAM cache and is the
+	// only durable copy of a finished result: completed results persist
+	// as content-addressed records, cache misses consult the store
+	// before recomputing, and the store's admission sketch gates RAM
+	// promotion (TinyLFU).
 	Store *cas.Store
 	// Injector, when set, injects deterministic faults at the pool and
 	// flow-stage seams (chaos testing).
@@ -197,8 +198,13 @@ func (j *Job) Wait(ctx context.Context) (*Result, error) {
 	return j.result, nil
 }
 
-// NewPool builds a pool from opt, applying defaults.
+// NewPool builds a pool from opt, applying defaults. It panics when opt
+// sets a Journal without a Store: the journal holds only intents, so
+// without a store no finished result would survive a restart.
 func NewPool(opt Options) *Pool {
+	if opt.Journal != nil && opt.Store == nil {
+		panic("jobs: Options.Journal requires Options.Store")
+	}
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -377,6 +383,13 @@ func (p *Pool) Do(ctx context.Context, s Spec) (*Result, error) {
 	if j, ok := p.inflight[id]; ok {
 		p.mu.Unlock()
 		return j.Wait(ctx)
+	}
+	// A twin may have finished between the lookup above and taking mu:
+	// it caches its result before leaving inflight, so re-check the
+	// cache and take the twin's result as a joiner would.
+	if res, ok := p.cache.Get(id); ok {
+		p.mu.Unlock()
+		return res, nil
 	}
 	j := &Job{
 		ID:      id,
@@ -571,14 +584,14 @@ func (p *Pool) safeRun(ctx context.Context, poolKey string, c Spec) (res *Result
 }
 
 // StoreResult installs a result computed elsewhere — a replication
-// write from a cluster peer — into this node's cache and journal, after
+// write from a cluster peer — into this node's cache and store, after
 // verifying its integrity: the payload's canonical spec must hash to
 // the claimed content address, so a corrupted or mislabeled replica can
 // never poison the cache with a wrong answer under a right key
 // (failures wrap ErrBadReplica). It reports whether the result was new
 // here (false means an identical entry already existed — the
-// anti-entropy no-op). Stored results are journaled as done records,
-// so a replica survives the replica-holder's own restart.
+// anti-entropy no-op). With a store, the replica survives the
+// replica-holder's own restart; no journal line is written.
 func (p *Pool) StoreResult(res *Result) (created bool, err error) {
 	if res == nil || res.ID == "" {
 		return false, fmt.Errorf("%w: empty result", ErrBadReplica)
@@ -600,9 +613,7 @@ func (p *Pool) StoreResult(res *Result) (created bool, err error) {
 	// Store an envelope scrubbed of the origin's run bookkeeping: the
 	// replica serves the deterministic content; Cached/Attempts/Service
 	// are per-serving-node facts.
-	cp := res.Normalized()
-	p.cache.Put(cp.ID, cp)
-	p.persistResult(cp.ID, cp)
+	p.adopt(res.Normalized())
 	p.metrics.ReplicasStored.Add(1)
 	return true, nil
 }
@@ -674,24 +685,8 @@ func (p *Pool) journalAccept(id string, c Spec) {
 	p.metrics.JournalAccepted.Add(1)
 }
 
-// journalDone records a completed job with its result.
-func (p *Pool) journalDone(id string, res *Result) {
-	j := p.opt.Journal
-	if j == nil {
-		return
-	}
-	if err := j.Done(id, res); err != nil {
-		p.metrics.JournalErrors.Add(1)
-		return
-	}
-	p.metrics.JournalCompleted.Add(1)
-}
-
-// journalStored records that a job's result is durable in the CAS
-// store — a slim pointer instead of a done record with the full body.
-// The record is unsynced: the CAS write it points at already fsynced,
-// and recovery checks the store before re-running a pending accept, so
-// losing the pointer costs an index lookup, never a recompute.
+// journalStored closes a job's accept once its result is durable in the
+// CAS store (see Journal.Stored).
 func (p *Pool) journalStored(id string) {
 	j := p.opt.Journal
 	if j == nil {

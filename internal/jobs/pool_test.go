@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -85,6 +86,73 @@ func TestPoolDeduplicatesInflight(t *testing.T) {
 	}
 	if runs != 1 {
 		t.Errorf("identical in-flight specs ran %d times, want 1", runs)
+	}
+}
+
+// TestPoolNoTwinRecompute pins the twin race: request B misses the
+// cache while its twin A is still running, then A caches its result and
+// leaves inflight before B takes the pool lock. B must take A's result
+// instead of computing the same spec a second time.
+func TestPoolNoTwinRecompute(t *testing.T) {
+	p := NewPool(Options{Workers: 2, BreakerThreshold: -1})
+	release := make(chan struct{})
+	var runs atomic.Int32
+	p.runFn = func(ctx context.Context, c Spec, _ int) (*Result, error) {
+		runs.Add(1)
+		<-release
+		return &Result{ID: c.Hash(), Kind: c.Kind, Spec: c}, nil
+	}
+	spec, _ := smallEval(1).Canon()
+	id := spec.Hash()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	type outcome struct {
+		res *Result
+		err error
+	}
+	do := func(out chan<- outcome) {
+		res, err := p.Do(context.Background(), spec)
+		out <- outcome{res, err}
+	}
+	outA, outB := make(chan outcome, 1), make(chan outcome, 1)
+	go do(outA)
+	waitFor("A to start running", func() bool { return runs.Load() == 1 })
+
+	// Hold the pool lock: B, once past its cache miss, parks on it.
+	p.mu.Lock()
+	jobA := p.inflight[id]
+	go do(outB)
+	waitFor("B to miss the cache", func() bool { return p.metrics.CacheMisses.Load() == 2 })
+
+	// A caches and publishes its result, then parks on the pool lock in
+	// finish. Remove its inflight entry here, as if A had won the lock
+	// ahead of B.
+	close(release)
+	<-jobA.done
+	delete(p.inflight, id)
+	p.mu.Unlock()
+
+	a, b := <-outA, <-outB
+	if a.err != nil || b.err != nil {
+		t.Fatalf("A: %v, B: %v", a.err, b.err)
+	}
+	if b.res.ID != a.res.ID {
+		t.Errorf("B got result %s, want A's %s", b.res.ID[:12], a.res.ID[:12])
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("twin specs ran %d times, want 1", n)
+	}
+	if n := p.Metrics().JobsStarted.Load(); n != 1 {
+		t.Errorf("jobs started = %d, want 1", n)
 	}
 }
 

@@ -66,21 +66,26 @@ func (p *Pool) storePut(res *Result) error {
 	return p.store.Put(res.ID, body)
 }
 
-// persistResult makes a completed result durable. With a store, the
-// body goes into the CAS (fsynced) and the journal records only a slim
-// "stored" line — the journal is then a write-ahead log, not the result
-// archive, and compaction can truncate it to pointers. Without a store
-// (or when the store write fails) the full result is journaled as a
-// done record, the pre-store behavior.
+// persistResult makes a job's result durable: the body goes into the
+// CAS (fsynced), then an unsynced stored line closes the job's accept.
+// A failed Put counts a CAS error and leaves the accept open, so the
+// next boot re-runs the job.
 func (p *Pool) persistResult(id string, res *Result) {
-	if p.store != nil {
-		if err := p.storePut(res); err == nil {
-			p.journalStored(id)
-			return
-		}
+	if err := p.storePut(res); err != nil {
+		p.metrics.CASErrors.Add(1)
+		return
+	}
+	p.journalStored(id)
+}
+
+// adopt installs a verified result computed elsewhere (a replica push
+// or a read-repair fetch) into RAM and the CAS. It writes no journal
+// line: no accept is open for a job this node never ran.
+func (p *Pool) adopt(res *Result) {
+	p.cache.Put(res.ID, res)
+	if err := p.storePut(res); err != nil {
 		p.metrics.CASErrors.Add(1)
 	}
-	p.journalDone(id, res)
 }
 
 // SetReadRepair installs the read-repair hook — in production, the
@@ -118,8 +123,7 @@ func (p *Pool) readRepair(ctx context.Context, id string) (*Result, bool) {
 		return nil, false
 	}
 	cp := res.Normalized()
-	p.cache.Put(cp.ID, cp)
-	p.persistResult(cp.ID, cp)
+	p.adopt(cp)
 	return cp, true
 }
 
@@ -137,20 +141,14 @@ func (p *Pool) probeCorrupt(readErr error, id string) bool {
 	return p.store.Quarantined(id)
 }
 
-// FindStored resolves a content address through every durable tier:
-// RAM cache, then the CAS store, then the journal's done records. The
-// read path behind GET /v1/results/{id} and replica fetches.
+// FindStored resolves a content address from the RAM cache, then the
+// CAS store — the one result resolver, behind GET /v1/results/{id},
+// replica fetches, and StoredView.Get.
 func (p *Pool) FindStored(id string) (*Result, bool) {
 	if res, ok := p.cache.Get(id); ok {
 		return res, true
 	}
-	if res, ok := p.storeGet(id); ok {
-		return res, true
-	}
-	if j := p.opt.Journal; j != nil {
-		return j.FindResult(id)
-	}
-	return nil, false
+	return p.storeGet(id)
 }
 
 // HasStored reports whether the id resolves in RAM or on disk without
@@ -195,12 +193,5 @@ func (v *StoredView) Keys() []string {
 	return keys
 }
 
-// Get resolves a content address from RAM or disk (not the journal —
-// repair sweeps are hot-path reads; the journal backstop stays behind
-// FindStored).
-func (v *StoredView) Get(id string) (*Result, bool) {
-	if res, ok := v.p.cache.Get(id); ok {
-		return res, true
-	}
-	return v.p.storeGet(id)
-}
+// Get resolves a content address through the pool's resolver.
+func (v *StoredView) Get(id string) (*Result, bool) { return v.p.FindStored(id) }

@@ -25,9 +25,10 @@ func newGapd(t *testing.T, opt serve.Options) *httptest.Server {
 
 // TestClosedLoopEndToEnd drives a real in-process gapd with the closed
 // loop over a small cache-churning corpus and checks the report's
-// accounting against the run.
+// accounting against the run and against the pool's own counters.
 func TestClosedLoopEndToEnd(t *testing.T) {
-	srv := newGapd(t, serve.Options{})
+	pool := jobs.NewPool(jobs.Options{Workers: 4})
+	srv := newGapd(t, serve.Options{Pool: pool})
 	plan := Plan{
 		Seed: 7,
 		Arrival: ArrivalSpec{
@@ -46,11 +47,15 @@ func TestClosedLoopEndToEnd(t *testing.T) {
 	if c.Scheduled != 48 || c.Completed != 48 || c.Failed != 0 {
 		t.Fatalf("counts: %+v, want all 48 completed", c)
 	}
-	// 8 distinct specs, 48 requests: at least 40 land after the first
-	// computation of their spec, minus up to concurrency-1 requests that
-	// join an in-flight computation (deduped but not flagged cached).
-	if c.Cached < 48-8-4 {
-		t.Errorf("cached %d, want >= 36 (corpus has 8 distinct specs)", c.Cached)
+	// 8 distinct specs, 48 requests: each spec computes exactly once.
+	// Every other request is either a cache hit (flagged cached) or
+	// joins an in-flight twin (deduped, not flagged), so the report's
+	// cached count is exactly the pool's cache hits.
+	if got := pool.Metrics().JobsStarted.Load(); got != 8 {
+		t.Errorf("jobs started = %d, want 8 (corpus has 8 distinct specs)", got)
+	}
+	if hits := pool.Metrics().CacheHits.Load(); c.Cached != hits {
+		t.Errorf("cached %d, want the pool's %d cache hits", c.Cached, hits)
 	}
 	if rep.Latency.Count != 48 || rep.Latency.P50MS <= 0 {
 		t.Errorf("latency summary %+v", rep.Latency)

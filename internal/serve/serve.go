@@ -603,10 +603,9 @@ func (h *handler) jobStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // getResult serves GET /v1/results/{id}: the internal replication read.
-// It resolves through every durable tier — result cache, then the CAS
-// store's segment index, then the crash-safe journal (a restarted node
-// holds its finished work on disk before the cache rewarms) — and 404s
-// otherwise. The response carries the digest header like every JSON
+// It resolves through the pool's one resolver — result cache, then the
+// CAS store (a restarted node serves its finished work from disk) — and
+// 404s otherwise. The response carries the digest header like every JSON
 // response, so the fetching peer verifies the bytes end to end.
 func (h *handler) getResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")

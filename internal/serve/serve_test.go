@@ -545,7 +545,12 @@ func TestHealthzDegradesWhenJournalUnwritable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := jobs.NewPool(jobs.Options{Workers: 1, Journal: j})
+	store, err := cas.Open(cas.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	pool := jobs.NewPool(jobs.Options{Workers: 1, Journal: j, Store: store})
 	srv := httptest.NewServer(NewHandler(Options{Pool: pool}))
 	defer srv.Close()
 	j.Close() // durability lost out from under the service
@@ -604,7 +609,7 @@ func TestMetricsExposesRobustnessCounters(t *testing.T) {
 	if !ok {
 		t.Fatalf("metrics journal block: %v", snap["journal"])
 	}
-	for _, key := range []string{"accepted", "completed", "failed", "errors",
+	for _, key := range []string{"accepted", "stored", "failed", "errors",
 		"replayed_done", "replayed_pending", "replays_exhausted"} {
 		if _, ok := journal[key]; !ok {
 			t.Errorf("journal.%s missing from /metrics", key)
