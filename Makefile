@@ -68,8 +68,10 @@ bench:
 # tests, so failures reproduce exactly. -count=1 defeats test caching —
 # a chaos proof from a previous build proves nothing about this one.
 # internal/cluster contributes the sharding chaos tests: a 3-node
-# in-process cluster with the owner killed mid-run (fallback) or running
-# slow (hedged), results byte-identical to the single-node reference.
+# in-process gossip cluster with the owner killed mid-run (the torn
+# forward raced past, then the dead owner routed around once the failure
+# detector declares it) or running slow (hedged, never suspected),
+# results byte-identical to the single-node reference.
 chaos:
 	$(GO) test -race -count=1 \
 		-run 'TestChaos|TestKillAndRestart|TestWatchdog|TestBreaker|TestOverload|TestPerClient|TestHealthzDegrades' \
@@ -79,7 +81,9 @@ chaos:
 # netfault injection on every peer link (partitions, corruption, resets)
 # plus the partition-tolerance machinery it exercises — result
 # replication, digest rejection, anti-entropy repair, hedge-loser
-# cancellation, deadline-driven hedge suppression, and flap damping.
+# cancellation, deadline-driven hedge suppression, and flap damping
+# (TestFlapDamping: forward-failure blips leave a suspect owner in the
+# ring, so neither the route nor the ring generation moves).
 chaos-net:
 	$(GO) test -race -count=1 ./internal/netfault/
 	$(GO) test -race -count=1 \

@@ -11,8 +11,8 @@
 //	     [-store-max-bytes N] [-scrub-interval 1m] [-scrub-rate N]
 //	     [-scrub-seed N] [-drain-timeout 30s] [-max-queue N]
 //	     [-max-per-client N] [-node-id ID -peers ID=URL,...]
-//	     [-hedge-after 50ms] [-replicas N] [-antientropy-interval 30s]
-//	     [-gossip -advertise URL] [-gossip-interval 250ms]
+//	     [-advertise URL] [-hedge-after 50ms] [-replicas N]
+//	     [-antientropy-interval 30s] [-gossip-interval 250ms]
 //	     [-gossip-seed N] [-version]
 //
 // With -store-dir, completed results persist to a content-addressed
@@ -43,31 +43,31 @@
 // varies the deterministic scan origin across nodes so a fleet does not
 // scrub in lockstep; -scrub-interval 0 disables scrubbing.
 //
-// With -peers (a static membership of id=url pairs including this node,
-// named by -node-id), N gapd processes become one sharded service: each
-// spec has one owner by rendezvous hashing over its content address,
-// requests are forwarded to their owners (hedged past -hedge-after), and
-// a dead owner's slice is computed by the next node in order — see
-// internal/cluster. Completed results are replicated to the first
-// -replicas nodes in rendezvous order and repaired by a background
-// anti-entropy sweep every -antientropy-interval, so a partitioned
-// owner's finished work stays servable. Setting GAPD_NETFAULT to a
-// netfault plan (e.g. "seed=7,partition=0.05,corrupt=0.01") injects
-// deterministic network faults into every peer-facing request — the
-// chaos drill for a real multi-process cluster.
-//
-// With -gossip, membership is dynamic instead of a boot list: the node
-// advertises itself at -advertise, announces its join to the -peers
-// seed contacts (none needed for the first node), and from then on the
-// cluster converges by SWIM-style gossip over POST /v1/gossip — probe
-// rounds every -gossip-interval, indirect ping-req probes, incarnation-
-// numbered alive/suspect/dead states. Ownership re-ranks live as nodes
-// join and leave, and completed results migrate to their new owners
-// over the replication endpoints instead of being recomputed. On
-// SIGTERM the node drains first: it announces the drain (new work flows
-// to the next rendezvous rank), finishes in-flight jobs, hands every
-// held result off, and only then leaves — a rolling restart loses
-// nothing. POST /v1/drain triggers the same sequence remotely.
+// With -peers (seed contacts as id=url pairs) and -node-id, N gapd
+// processes become one sharded service — see internal/cluster. The node
+// announces its join to the seeds, and the cluster converges by
+// SWIM-style gossip over POST /v1/gossip: probe rounds every
+// -gossip-interval, indirect ping-req probes, incarnation-numbered
+// alive/suspect/dead states. The node's own URL is its entry in -peers,
+// or -advertise when -peers omits it (the first node of a new cluster
+// may give -advertise alone). Each spec has one owner by rendezvous
+// hashing over its content address, and requests are forwarded to
+// their owners (hedged past -hedge-after). A failed forward makes the
+// owner suspect, not dead: its slice moves to the next node in order
+// only when the failure detector declares it dead. Ownership re-ranks
+// live as nodes join and leave, and completed results migrate to their
+// new owners over the replication endpoints instead of being
+// recomputed. Completed results are replicated to the first -replicas
+// nodes in rendezvous order and repaired by a background anti-entropy
+// sweep every -antientropy-interval, so a partitioned owner's finished
+// work stays servable. On SIGTERM the node drains first: it announces
+// the drain (new work flows to the next rendezvous rank), finishes
+// in-flight jobs, hands every held result off, and only then leaves — a
+// rolling restart loses nothing. POST /v1/drain triggers the same
+// sequence remotely. Setting GAPD_NETFAULT to a netfault plan (e.g.
+// "seed=7,partition=0.05,corrupt=0.01") injects deterministic network
+// faults into every peer-facing request — the chaos drill for a real
+// multi-process cluster.
 package main
 
 import (
@@ -110,10 +110,9 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "admission queue depth beyond workers before shedding 429s (0 = 4x workers, negative disables)")
 	maxPerClient := flag.Int("max-per-client", 0, "concurrent submissions per client (0 = 2x workers, negative disables)")
 	maxAttempts := flag.Int("max-attempts", 0, "attempts per job incl. retries (0 = 3)")
-	nodeID := flag.String("node-id", "", "this node's id within -peers (required with -peers)")
-	peersFlag := flag.String("peers", "", "static cluster membership as comma-separated id=url pairs incl. this node (empty = single node); with -gossip, the seed contacts to announce the join to")
-	gossipOn := flag.Bool("gossip", false, "dynamic SWIM-style membership: join via the -peers seed contacts, probe every -gossip-interval, hand ownership off on drain")
-	advertise := flag.String("advertise", "", "this node's externally reachable base URL (required with -gossip)")
+	nodeID := flag.String("node-id", "", "this node's cluster id (required with -peers or -advertise)")
+	peersFlag := flag.String("peers", "", "seed contacts to announce the join to (and re-contact while unreachable), as comma-separated id=url pairs; may include this node (empty = single node)")
+	advertise := flag.String("advertise", "", "this node's externally reachable base URL (default: this node's entry in -peers)")
 	gossipInterval := flag.Duration("gossip-interval", 250*time.Millisecond, "spacing of gossip protocol rounds")
 	gossipSeed := flag.Int64("gossip-seed", 1, "seed for the deterministic probe/ping-req target selection")
 	hedgeAfter := flag.Duration("hedge-after", 50*time.Millisecond, "latency threshold before a forwarded request is hedged to the next node in rendezvous order (negative disables)")
@@ -249,7 +248,7 @@ func main() {
 	}()
 
 	var clu *cluster.Cluster
-	if *peersFlag != "" || *gossipOn {
+	if *peersFlag != "" || *advertise != "" {
 		var peers []cluster.Peer
 		if *peersFlag != "" {
 			var err error
@@ -270,13 +269,11 @@ func main() {
 			// anti-entropy repair and drain handoff must cover results
 			// the cache has evicted but the store still holds.
 			Results: pool.StoredView(),
-		}
-		if *gossipOn {
-			opts.Gossip = &cluster.GossipOptions{
+			Gossip: &cluster.GossipOptions{
 				SelfURL:  *advertise,
 				Seed:     *gossipSeed,
 				Interval: *gossipInterval,
-			}
+			},
 		}
 		// GAPD_NETFAULT injects deterministic network faults into every
 		// peer-facing request — chaos drills against a real multi-process
@@ -309,6 +306,8 @@ func main() {
 		clu = c
 		clu.Start(ctx)
 		defer clu.Close()
+		log.Printf("gapd: cluster node %s (%d -peers entries, hedge after %v)",
+			clu.Self(), len(peers), *hedgeAfter)
 	}
 
 	handler := serve.NewHandler(serve.Options{
@@ -329,10 +328,6 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() {
-		if clu != nil {
-			log.Printf("gapd: node %s in a %d-node cluster (hedge after %v)",
-				clu.Self(), len(clu.Ring().Peers()), *hedgeAfter)
-		}
 		log.Printf("gapd: listening on %s (%d workers, cache %d entries, job timeout %v, journal %q)",
 			*addr, pool.Workers(), pool.Cache().Cap(), *timeout, *journalDir)
 		errCh <- srv.ListenAndServe()
@@ -349,11 +344,11 @@ func main() {
 		log.Printf("gapd: shutting down (drain limit %v)", *drainTimeout)
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
-		// Under gossip membership, drain before closing the listener:
+		// On a clustered node, drain before closing the listener:
 		// announce the drain (ownership re-ranks away from this node,
 		// fresh requests shed to the next rendezvous rank) and migrate
 		// every held result to its new home while still serving.
-		if clu != nil && clu.GossipEnabled() {
+		if clu != nil {
 			if migrated, err := handler.StartDrain(shutdownCtx); err != nil {
 				log.Printf("gapd: drain handoff incomplete (%d results migrated): %v", migrated, err)
 			} else {
@@ -371,7 +366,7 @@ func main() {
 		// flight; wait for them before the final handoff sweep counts
 		// what is left to migrate (and before Leave tears the peer down).
 		handler.Quiesce()
-		if clu != nil && clu.GossipEnabled() {
+		if clu != nil {
 			// Results that completed during the drain window migrate in a
 			// final sweep now that the server has quiesced; then announce
 			// clean departure so peers record "left", not "dead".

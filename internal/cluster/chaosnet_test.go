@@ -14,7 +14,6 @@ package cluster_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -23,8 +22,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/gossip"
 	"repro/internal/jobs"
 	"repro/internal/netfault"
+	"repro/internal/serve"
 )
 
 // netTweak builds a startCluster tweak that wires the shared injector
@@ -132,8 +133,10 @@ func TestChaosNetPartitionedOwnerReplicaServes(t *testing.T) {
 }
 
 // TestChaosNetCorruptedResponseRejected: every response the owner sends
-// is bit-corrupted in flight. Digest verification must convert each
-// corruption into a transient peer failure — the entry node retries
+// is bit-corrupted in flight, gossip acks included. Digest verification
+// must keep every corrupted ack out of the membership view, and must
+// convert each corrupted result into a transient peer failure — the
+// entry node retries
 // down the rendezvous order and still answers byte-identically — and no
 // node's cache may ever hold bytes that differ from the reference.
 func TestChaosNetCorruptedResponseRejected(t *testing.T) {
@@ -152,17 +155,40 @@ func TestChaosNetCorruptedResponseRejected(t *testing.T) {
 					CorruptRate: 1, // every response from the owner is corrupted
 					Match:       "->" + ownerID + "/",
 				})
+				// The join traffic is corrupted too: every ack the owner
+				// sends fails its digest and is discarded unmerged, and the
+				// cluster still forms through the owner's own joins, whose
+				// requests reach the others intact.
 				nodes := startCluster(t, 3, netTweak(t, inj, nil))
 				owner := byID(t, nodes, ownerID)
 				entry := otherThan(nodes, owner)
+				for _, nd := range nodes {
+					if nd == owner {
+						continue
+					}
+					// Each other node's join exchange with the owner got a
+					// corrupted ack; it must have been rejected, and the
+					// owner's record must carry its true URL.
+					deadline := time.Now().Add(10 * time.Second)
+					for nd.clu.Metrics().Counters()["cluster_digest_rejected"] < 1 {
+						if time.Now().After(deadline) {
+							t.Fatalf("%s: node %s never rejected the owner's corrupted join ack", spec.Kind, nd.id)
+						}
+						time.Sleep(2 * time.Millisecond)
+					}
+					if m, ok := memberRecord(nd, ownerID); !ok || m.URL != owner.srv.URL {
+						t.Errorf("%s: node %s holds owner record %+v, want URL %s", spec.Kind, nd.id, m.Member, owner.srv.URL)
+					}
+				}
+				joinRejected := entry.clu.Metrics().Counters()["cluster_digest_rejected"]
 
 				res := submit(t, entry, spec)
 				if got, want := normalizedJSON(t, res), ref[res.ID]; !bytes.Equal(got, want) {
 					t.Errorf("%s: result served through corruption differs from serial reference\n got: %s\nwant: %s",
 						spec.Kind, got, want)
 				}
-				if got := entry.clu.Metrics().Counters()["cluster_digest_rejected"]; got < 1 {
-					t.Errorf("%s: cluster_digest_rejected = %d, want >= 1", spec.Kind, got)
+				if got := entry.clu.Metrics().Counters()["cluster_digest_rejected"] - joinRejected; got < 1 {
+					t.Errorf("%s: cluster_digest_rejected grew by %d on the result path, want >= 1", spec.Kind, got)
 				}
 				if inj.Corruptions.Load() < 1 {
 					t.Errorf("%s: no corruption faults fired", spec.Kind)
@@ -183,9 +209,10 @@ func TestChaosNetCorruptedResponseRejected(t *testing.T) {
 
 // TestChaosNetAntiEntropyRepairs: the completion-time replica push is
 // lost to a directed partition; after the link heals, the background
-// anti-entropy loop must converge the replica within one interval
-// (counted in cluster_antientropy_repaired), after which the replica
-// serves the result from cache even with the owner fully partitioned.
+// anti-entropy loop (running since boot) must converge the replica
+// within one interval (counted in cluster_antientropy_repaired), after
+// which the replica serves the result from cache even with the owner
+// fully partitioned.
 func TestChaosNetAntiEntropyRepairs(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -203,31 +230,26 @@ func TestChaosNetAntiEntropyRepairs(t *testing.T) {
 			entry := byID(t, nodes, rank[2])
 
 			// Cut owner->replica before the job runs: the completion-time
-			// push fails, the result exists only on the owner. The async
-			// push is the only owner->replica traffic, so the injector's
-			// partition counter observing >= 1 proves it fired and died —
-			// only then is healing safe (healing earlier would let a slow
-			// push goroutine replicate through the healed link and leave
+			// push fails, the result exists only on the owner. The push
+			// runs off the response path; Quiesce waits for it, and only
+			// then is healing safe (healing earlier would let a slow push
+			// goroutine replicate through the healed link and leave
 			// anti-entropy nothing to repair).
 			inj.Partition(owner.id, replica.id)
 			res := submit(t, owner, spec)
-			pushDeadline := time.Now().Add(5 * time.Second)
-			for inj.Partitions.Load() == 0 && time.Now().Before(pushDeadline) {
-				time.Sleep(2 * time.Millisecond)
-			}
+			owner.mu.Lock()
+			h := owner.inner.(*serve.Handler)
+			owner.mu.Unlock()
+			h.Quiesce()
 			if inj.Partitions.Load() == 0 {
-				t.Fatal("completion-time push never hit the cut link")
+				t.Fatal("no owner->replica request hit the cut link")
 			}
 			if _, ok := replica.pool.Cache().Get(res.ID); ok {
 				t.Fatal("replica received the push through a cut link")
 			}
 
-			// Heal and start the owner's background loops; one sweep must
-			// repair the replica.
+			// Heal; the next anti-entropy sweep must repair the replica.
 			inj.Heal(owner.id, replica.id)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			owner.clu.Start(ctx)
 			waitCached(t, replica, res.ID, "anti-entropy repair")
 			// The replica's cache fills inside the PUT handler, before the
 			// owner's push sees the 201 — poll the sender-side counter.
@@ -327,5 +349,80 @@ func TestDeadlineSuppressesHedging(t *testing.T) {
 	}
 	if c["cluster_hedged"] != 0 {
 		t.Errorf("cluster_hedged = %d, want 0 (hedging was suppressed)", c["cluster_hedged"])
+	}
+}
+
+// waitRingLen blocks until nd's ring holds exactly n nodes.
+func waitRingLen(t *testing.T, nd *node, n int) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for nd.clu.Ring().Len() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("node %s ring holds %d nodes, want %d", nd.id, nd.clu.Ring().Len(), n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestGossipSeedsHealMissedJoin: two nodes whose join exchanges both
+// miss — nodes booting together, each before the other listens — boot
+// as clusters of one. Probe rounds only target members the view already
+// holds, so only the seed contacts can bring them together: once the
+// link carries traffic, both rings must grow to two.
+func TestGossipSeedsHealMissedJoin(t *testing.T) {
+	inj := netfault.New(netfault.Plan{})
+	inj.PartitionBoth("a", "b")
+	nodes := startGossipCluster(t, []string{"a", "b"}, func(_ string, o *cluster.Options) {
+		netTweak(t, inj, nil)(o)
+	})
+	// Both joins and a few seed retries hit the cut link.
+	deadline := time.Now().Add(20 * time.Second)
+	for inj.Partitions.Load() < 6 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d exchanges hit the cut link", inj.Partitions.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, nd := range nodes {
+		if got := nd.clu.Ring().Len(); got != 1 {
+			t.Fatalf("node %s ring holds %d nodes across the cut, want 1", nd.id, got)
+		}
+	}
+
+	inj.HealAll()
+	waitAlive(t, nodes, "a", "b")
+	for _, nd := range nodes {
+		waitRingLen(t, nd, 2)
+	}
+}
+
+// TestGossipSeedsHealDeadVerdicts: a complete isolation longer than the
+// suspicion window makes each side declare the other dead, and dead
+// members are never probed again. After the link heals, the seed
+// contacts carry each side's dead verdict to the other, each refutes
+// with a bumped incarnation, and both rings return to two.
+func TestGossipSeedsHealDeadVerdicts(t *testing.T) {
+	inj := netfault.New(netfault.Plan{})
+	nodes := startGossipCluster(t, []string{"a", "b"}, func(_ string, o *cluster.Options) {
+		netTweak(t, inj, nil)(o)
+	})
+	a, b := nodes[0], nodes[1]
+	waitAlive(t, nodes, "a", "b")
+
+	inj.PartitionBoth("a", "b")
+	waitMemberState(t, a, "b", gossip.StateDead)
+	waitMemberState(t, b, "a", gossip.StateDead)
+	waitRingLen(t, a, 1)
+	waitRingLen(t, b, 1)
+
+	inj.HealAll()
+	waitAlive(t, nodes, "a", "b")
+	for _, nd := range nodes {
+		waitRingLen(t, nd, 2)
+	}
+	for _, nd := range nodes {
+		if got := nd.clu.Metrics().Counters()["cluster_refutations"]; got < 1 {
+			t.Errorf("node %s: cluster_refutations = %d, want >= 1 (its dead verdict refuted)", nd.id, got)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/gossip"
 	"repro/internal/jobs"
 	"repro/internal/serve"
 )
@@ -46,22 +48,16 @@ type node struct {
 	// response is written — the signature of a process killed between
 	// compute and reply.
 	abortPosts atomic.Bool
-	// delayPosts injects ns of latency before job submissions (probes
-	// are unaffected), simulating a slow-but-healthy owner.
+	// delayPosts injects ns of latency before POSTs (GETs are
+	// unaffected), simulating a slow-but-healthy owner.
 	delayPosts atomic.Int64
 	// abortedDelays counts delayed submissions abandoned because the
 	// client canceled the request mid-delay — how a test observes that a
 	// losing hedge leg was actually canceled, not just ignored.
 	abortedDelays atomic.Int64
-	// healthz503 makes the node's /healthz report degraded.
-	healthz503 atomic.Bool
 }
 
 func (n *node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if n.healthz503.Load() && r.URL.Path == "/healthz" {
-		http.Error(w, `{"status":"degraded"}`, http.StatusServiceUnavailable)
-		return
-	}
 	n.mu.Lock()
 	h := n.inner
 	n.mu.Unlock()
@@ -90,8 +86,9 @@ func (n *node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.ServeHTTP(w, r)
 }
 
-// startCluster boots n nodes that know each other by URL. Probing is off
-// by default (ProbeInterval an hour, never started) so health state moves
+// startCluster boots n nodes seeded off each other and returns once
+// every node's ring holds all n. The gossip protocol interval is an
+// hour, so no probe round runs: after the join exchanges, health moves
 // only through passive forward reports — deterministic for the chaos
 // tests; tweak overrides per-test knobs.
 func startCluster(t testing.TB, n int, tweak func(*cluster.Options)) []*node {
@@ -130,8 +127,7 @@ func startClusterPools(t testing.TB, n int, poolOpt func(id string) jobs.Options
 			Peers:          peers,
 			HedgeAfter:     -1, // hedging off unless the test turns it on
 			RequestTimeout: 30 * time.Second,
-			ProbeInterval:  time.Hour,
-			DeadAfter:      1, // one torn forward = dead, no probe wait
+			Gossip:         &cluster.GossipOptions{Interval: time.Hour},
 			// The cluster-facing result set is cache ∪ store, the same
 			// view gapd wires: anti-entropy and replica reads must cover
 			// what the cache evicted but the store still holds.
@@ -151,7 +147,36 @@ func startClusterPools(t testing.TB, n int, poolOpt func(id string) jobs.Options
 		nd.inner = h
 		nd.mu.Unlock()
 	}
+	// Every handler is live before any node joins, so each join
+	// exchange lands; each pair exchanges directly at least once, which
+	// converges every view without a probe round.
+	for _, nd := range nodes {
+		nd.clu.Start(context.Background())
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, nd := range nodes {
+		for nd.clu.Ring().Len() != n {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %s ring holds %d of %d nodes after the join", nd.id, nd.clu.Ring().Len(), n)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
 	return nodes
+}
+
+// waitRingWithout blocks until nd's view holds member id dead and nd's
+// ring — rebuilt after the verdict — no longer ranks it.
+func waitRingWithout(t *testing.T, nd *node, id string) {
+	t.Helper()
+	waitMemberState(t, nd, id, gossip.StateDead)
+	deadline := time.Now().Add(10 * time.Second)
+	for slices.Contains(nd.clu.Ring().Peers(), id) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node %s ring still holds dead member %s", nd.id, id)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // byID returns the node with the given cluster ID.
@@ -238,12 +263,13 @@ func submit(t *testing.T, nd *node, spec jobs.Spec) *jobs.Result {
 }
 
 // TestChaosClusterOwnerKill is the sharding acceptance test for the
-// fallback path: for every spec kind and every chaos seed, the spec's
-// true owner is killed mid-run (it computes, then the connection tears
-// before the reply), and a surviving node must still answer — first by
-// racing down the rendezvous order, then, with the owner marked dead, by
-// the route-time fallback — with results byte-identical to the
-// single-node serial reference.
+// owner-failure paths: for every spec kind and every chaos seed, the
+// spec's true owner is killed and a surviving node must still answer
+// with results byte-identical to the single-node serial reference —
+// first by racing down the rendezvous order past a forward torn
+// mid-request (the owner computes, then the connection tears before
+// the reply), then, once the failure detector has declared the owner
+// dead, by routing around it at decision time with no forward to it.
 func TestChaosClusterOwnerKill(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -251,11 +277,15 @@ func TestChaosClusterOwnerKill(t *testing.T) {
 			ref := serialReference(t, specs)
 
 			// A fresh cluster per spec keeps the health state
-			// deterministic: every spec's owner starts presumed-alive, so
-			// both failure paths — race-past-torn-forward and route-time
-			// fallback — are exercised every time.
+			// deterministic: every spec's owner starts alive, so both
+			// failure paths are exercised every time. Probe rounds run
+			// here, unlike the other chaos tests: the second path needs
+			// the failure detector.
 			for _, spec := range specs {
-				nodes := startCluster(t, 3, nil)
+				nodes := startCluster(t, 3, func(o *cluster.Options) {
+					o.Gossip.Interval = 20 * time.Millisecond
+					o.Gossip.ProbeTimeout = 250 * time.Millisecond
+				})
 				owner := byID(t, nodes, nodes[0].clu.Ring().Owner(spec.Hash()))
 				entry := otherThan(nodes, owner)
 				owner.abortPosts.Store(true)
@@ -267,22 +297,32 @@ func TestChaosClusterOwnerKill(t *testing.T) {
 					t.Errorf("%s: killed-owner result differs from serial reference\n got: %s\nwant: %s",
 						spec.Kind, got, want)
 				}
+				errs := entry.clu.Metrics().Counters()["forward_errors"]
+				if errs < 1 {
+					t.Errorf("%s: forward_errors = %d, want >= 1 (the torn forward)", spec.Kind, errs)
+				}
 
-				// Second submission: the entry node now knows the owner is
-				// dead and routes around it at decision time (fallback).
+				// Kill the owner outright: its server and its gossip loop.
+				// A node that only tears inbound POSTs keeps refuting the
+				// suspicion through its own outbound gossip, so it would
+				// never be declared dead.
+				owner.clu.Close()
+				owner.srv.Close()
+				waitRingWithout(t, entry, owner.id)
+
+				// Second submission: the dead owner has left the entry
+				// node's ring, so the request is decided around it — no
+				// forward to it, no new forward error.
+				if rt := entry.clu.Route(spec.Hash()); rt.Owner == owner.id {
+					t.Errorf("%s: dead owner %s still owns the spec: %+v", spec.Kind, owner.id, rt)
+				}
 				res2 := submit(t, entry, spec)
 				if got, want := normalizedJSON(t, res2), ref[res2.ID]; !bytes.Equal(got, want) {
-					t.Errorf("%s: fallback result differs from serial reference", spec.Kind)
+					t.Errorf("%s: dead-owner result differs from serial reference", spec.Kind)
 				}
-
-				c := entry.clu.Metrics().Counters()
-				if c["forward_errors"] < 1 {
-					t.Errorf("%s: forward_errors = %d, want >= 1 (the torn forward)",
-						spec.Kind, c["forward_errors"])
-				}
-				if c["cluster_fallback"] < 1 {
-					t.Errorf("%s: cluster_fallback = %d, want >= 1 (the dead-owner reroute)",
-						spec.Kind, c["cluster_fallback"])
+				if got := entry.clu.Metrics().Counters()["forward_errors"]; got != errs {
+					t.Errorf("%s: forward_errors %d -> %d, want no new error once the owner is dead",
+						spec.Kind, errs, got)
 				}
 			}
 		})
@@ -294,7 +334,8 @@ func TestChaosClusterOwnerKill(t *testing.T) {
 // next node in rendezvous order wins the race, and the answer is still
 // byte-identical to the serial reference — the property determinism
 // buys: a hedge can never return a different result, only an earlier
-// one. The slow owner must not be marked dead (slowness is not death).
+// one. The slow owner must not even be suspected (slowness is not
+// death): the losing leg is canceled, not failed.
 func TestChaosClusterHedged(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -326,9 +367,9 @@ func TestChaosClusterHedged(t *testing.T) {
 					t.Errorf("%s: hedged request took %v, owner delay is %v", spec.Kind, elapsed, ownerDelay)
 				}
 
-				for _, ps := range entry.clu.Status().Peers {
-					if ps.ID == owner.id && ps.Health == cluster.HealthDead {
-						t.Errorf("%s: slow owner %s marked dead by a hedge", spec.Kind, owner.id)
+				for _, m := range entry.clu.Status().Members {
+					if m.ID == owner.id && (m.State == gossip.StateSuspect || m.State == gossip.StateDead) {
+						t.Errorf("%s: slow owner %s marked %s by a hedge", spec.Kind, owner.id, m.State)
 					}
 				}
 			}
@@ -455,58 +496,41 @@ func TestBadSpecVerdictRelayed(t *testing.T) {
 	}
 }
 
-// TestMembershipProbes drives the active health loop: a peer moves
-// alive -> degraded (healthz 503) -> dead (server gone) as probes
-// observe it, and a dead owner's keys route to the survivor.
+// TestMembershipProbes drives the failure detector: once a peer is
+// killed (server closed, gossip loop stopped), the survivor's probe
+// rounds move it alive -> suspect -> dead, the dead peer leaves the
+// ring, and every key it owned routes to the survivor, locally.
 func TestMembershipProbes(t *testing.T) {
 	nodes := startCluster(t, 2, func(o *cluster.Options) {
-		o.ProbeInterval = 10 * time.Millisecond
-		o.ProbeTimeout = 250 * time.Millisecond
-		o.DeadAfter = 2
+		o.Gossip.Interval = 10 * time.Millisecond
+		o.Gossip.ProbeTimeout = 250 * time.Millisecond
 	})
 	a, b := nodes[0], nodes[1]
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	a.clu.Start(ctx)
+	waitMemberState(t, a, b.id, gossip.StateAlive)
+	before := a.clu.Ring()
 
-	waitHealth := func(want cluster.Health) {
-		t.Helper()
-		deadline := time.Now().Add(3 * time.Second)
-		for time.Now().Before(deadline) {
-			for _, ps := range a.clu.Status().Peers {
-				if ps.ID == b.id && ps.Health == want {
-					return
-				}
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("peer %s never became %s", b.id, want)
-	}
-
-	waitHealth(cluster.HealthAlive)
-	b.healthz503.Store(true)
-	waitHealth(cluster.HealthDegraded)
-	b.healthz503.Store(false)
-	waitHealth(cluster.HealthAlive)
+	b.clu.Close()
 	b.srv.Close()
-	waitHealth(cluster.HealthDead)
+	waitRingWithout(t, a, b.id)
+	// The detector only declares dead what it suspected first.
+	if got := a.clu.Metrics().Counters()["cluster_suspected"]; got < 1 {
+		t.Errorf("cluster_suspected = %d, want >= 1", got)
+	}
 
-	// Every key b owned now routes to a, locally, flagged as fallback.
-	remapped := false
-	for _, spec := range clusterBatch(9) {
-		rt := a.clu.Route(spec.Hash())
-		if !rt.Local {
-			t.Errorf("%s: route with sole survivor not local: %+v", spec.Kind, rt)
+	// Every key b owned now routes to a, locally: ownership moved with
+	// the dead verdict, so no request is a fallback.
+	owned := 0
+	for i := 0; i < 64; i++ {
+		key := fmt.Sprintf("%064d", i)
+		if before.Owner(key) == b.id {
+			owned++
 		}
-		if rt.Owner == b.id {
-			remapped = true
-			if !rt.Fallback {
-				t.Errorf("%s: dead owner's key not flagged fallback", spec.Kind)
-			}
+		if rt := a.clu.Route(key); !rt.Local || rt.Owner != a.id || rt.Fallback {
+			t.Errorf("key %d: route with sole survivor %+v, want local owner %s", i, rt, a.id)
 		}
 	}
-	if !remapped {
-		t.Skip("no batch key owned by the dead peer; ownership test covers remapping")
+	if owned == 0 {
+		t.Fatal("no sampled key was owned by the dead peer")
 	}
 }
 
@@ -523,10 +547,10 @@ func TestClusterEndpoints(t *testing.T) {
 	var st struct {
 		Self         string  `json:"self"`
 		HedgeAfterMS float64 `json:"hedge_after_ms"`
-		Peers        []struct {
-			ID     string `json:"id"`
-			Health string `json:"health"`
-		} `json:"peers"`
+		Members      []struct {
+			ID    string `json:"id"`
+			State string `json:"state"`
+		} `json:"members"`
 		Ownership struct {
 			Sample int                `json:"sample"`
 			Shares map[string]float64 `json:"shares"`
@@ -541,8 +565,8 @@ func TestClusterEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Self != entry.id || len(st.Peers) != 3 {
-		t.Errorf("cluster status self=%q peers=%d", st.Self, len(st.Peers))
+	if st.Self != entry.id || len(st.Members) != 3 {
+		t.Errorf("cluster status self=%q members=%d", st.Self, len(st.Members))
 	}
 	total := 0.0
 	for _, s := range st.Ownership.Shares {

@@ -71,10 +71,11 @@ type gossipRunner struct {
 
 	// sweepCh single-flights background handoff sweeps: a rebuild that
 	// happens mid-sweep queues exactly one follow-up.
-	sweepCh   chan struct{}
-	cancel    context.CancelFunc
-	done      chan struct{}
-	sweepDone chan struct{}
+	sweepCh    chan struct{}
+	cancel     context.CancelFunc
+	done       chan struct{}
+	sweepDone  chan struct{}
+	reseedDone chan struct{}
 }
 
 func newGossipRunner(c *Cluster, opt Options, seeds []Peer) (*gossipRunner, error) {
@@ -123,13 +124,16 @@ func (g *gossipRunner) draining() bool {
 }
 
 // start launches the protocol loop: an immediate join announcement to
-// every seed contact, then one probe round per interval.
+// every seed contact, then one probe round per interval. A second loop
+// keeps contacting seeds the view does not hold as routable.
 func (g *gossipRunner) start(ctx context.Context) {
 	ctx, cancel := context.WithCancel(ctx)
 	g.cancel = cancel
 	g.done = make(chan struct{})
 	g.sweepDone = make(chan struct{})
+	g.reseedDone = make(chan struct{})
 	go g.sweepLoop(ctx)
+	go g.reseedLoop(ctx)
 	go func() {
 		defer close(g.done)
 		g.join(ctx)
@@ -154,6 +158,7 @@ func (g *gossipRunner) stop() {
 	g.cancel()
 	<-g.done
 	<-g.sweepDone
+	<-g.reseedDone
 }
 
 // join announces this node to every seed contact. Best effort: one
@@ -165,10 +170,46 @@ func (g *gossipRunner) join(ctx context.Context) {
 		jctx, cancel := context.WithTimeout(ctx, g.timeout)
 		_, err := g.exchange(jctx, p.URL, nil)
 		cancel()
-		_ = err // unreachable seed: the periodic loop keeps trying via merged members
+		_ = err // unreachable seed: reseedLoop keeps trying
 	}
 	g.syncStats()
 	g.maybeRebuild()
+}
+
+// reseedLoop exchanges, once per interval, with the next seed contact
+// the view does not hold as routable. Probe rounds only target routable
+// members, so without it a seed that missed the join (nodes booting
+// together) stays unknown, and two sides that declared each other dead
+// across a partition never speak again. A live seed answers with its
+// own record, bumped past any dead verdict our view sent it, so either
+// case heals on the first exchange that lands. It runs apart from the
+// probe rounds so an unreachable seed's timeout never delays them.
+func (g *gossipRunner) reseedLoop(ctx context.Context) {
+	defer close(g.reseedDone)
+	t := time.NewTicker(g.interval)
+	defer t.Stop()
+	next := 0
+	for {
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return
+		}
+		for i := range g.seeds {
+			p := g.seeds[(next+i)%len(g.seeds)]
+			if g.routable(p.ID) {
+				continue
+			}
+			next = (next + i + 1) % len(g.seeds)
+			rctx, cancel := context.WithTimeout(ctx, g.timeout)
+			_, err := g.exchange(rctx, p.URL, nil)
+			cancel()
+			_ = err // still unreachable: the next tick tries the next seed
+			g.syncStats()
+			g.maybeRebuild()
+			break
+		}
+	}
 }
 
 // round runs one protocol round: probe the next target in the seeded
@@ -202,7 +243,10 @@ func (g *gossipRunner) round(ctx context.Context) {
 	g.maybeRebuild()
 }
 
-// exchange POSTs this node's view to url and merges the answer.
+// exchange POSTs this node's view to url and merges the answer. Both
+// directions carry the body's digest: the receiver checks the request,
+// and an ack whose bytes do not match is discarded unmerged, so a
+// corrupted record can never add a member with a wrong URL.
 func (g *gossipRunner) exchange(ctx context.Context, url string, pr *PingReq) (GossipAck, error) {
 	msg := GossipMsg{From: g.c.self, Records: g.view.Records(), PingReq: pr}
 	body, err := json.Marshal(msg)
@@ -215,6 +259,7 @@ func (g *gossipRunner) exchange(ctx context.Context, url string, pr *PingReq) (G
 		return GossipAck{}, peerUnavailable(url, 0, err.Error())
 	}
 	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(DigestHeader, bodyDigest(body))
 	resp, err := g.c.hc.Do(req)
 	if err != nil {
 		return GossipAck{}, peerUnavailable(url, 0, err.Error())
@@ -223,6 +268,11 @@ func (g *gossipRunner) exchange(ctx context.Context, url string, pr *PingReq) (G
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxGossipBody))
 	if err != nil {
 		return GossipAck{}, peerUnavailable(url, 0, "reading gossip ack: "+err.Error())
+	}
+	if d := resp.Header.Get(DigestHeader); d != "" && bodyDigest(raw) != d {
+		g.c.metrics.DigestRejected.Add(1)
+		return GossipAck{}, &PeerError{Peer: url, Status: resp.StatusCode,
+			Msg: "gossip ack bytes do not match their digest", err: ErrCorruptReply}
 	}
 	if resp.StatusCode != http.StatusOK {
 		return GossipAck{}, peerUnavailable(url, resp.StatusCode, "gossip rejected")
@@ -413,14 +463,10 @@ func (g *gossipRunner) leave(ctx context.Context) {
 }
 
 // HandleGossip folds one incoming POST /v1/gossip exchange into the
-// membership view and returns the ack to send back. It is the serve
-// layer's entry point; calling it on a static-membership node is a
-// config error the handler maps to 404.
-func (c *Cluster) HandleGossip(ctx context.Context, msg GossipMsg) (GossipAck, error) {
-	if c.gossip == nil {
-		return GossipAck{}, fmt.Errorf("%w: gossip membership disabled on this node", ErrConfig)
-	}
-	return c.gossip.handle(ctx, msg), nil
+// membership view and returns the ack to send back — the serve layer's
+// entry point.
+func (c *Cluster) HandleGossip(ctx context.Context, msg GossipMsg) GossipAck {
+	return c.gossip.handle(ctx, msg)
 }
 
 // Drain announces that this node is leaving the ring, migrates every
@@ -431,33 +477,21 @@ func (c *Cluster) HandleGossip(ctx context.Context, msg GossipMsg) (GossipAck, e
 // results already replicated elsewhere are still safe, and anti-entropy
 // on the survivors converges the rest.
 func (c *Cluster) Drain(ctx context.Context) (int, error) {
-	if c.gossip == nil {
-		return 0, fmt.Errorf("%w: drain requires gossip membership", ErrConfig)
-	}
 	return c.gossip.drain(ctx)
 }
 
 // Draining reports whether this node has announced a drain.
-func (c *Cluster) Draining() bool {
-	return c.gossip != nil && c.gossip.draining()
-}
+func (c *Cluster) Draining() bool { return c.gossip.draining() }
 
 // Leave announces clean departure to the cluster (best effort). Call
 // after the final handoff, immediately before process exit.
-func (c *Cluster) Leave(ctx context.Context) {
-	if c.gossip != nil {
-		c.gossip.leave(ctx)
-	}
-}
+func (c *Cluster) Leave(ctx context.Context) { c.gossip.leave(ctx) }
 
 // HandoffNow runs one synchronous handoff sweep and returns the number
 // of results newly placed elsewhere. The shutdown path calls it after
 // the HTTP server has quiesced so results completed during the drain
 // window migrate too.
 func (c *Cluster) HandoffNow(ctx context.Context) int {
-	if c.gossip == nil {
-		return 0
-	}
 	migrated, _ := c.gossip.handoffSweep(ctx)
 	return migrated
 }

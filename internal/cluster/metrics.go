@@ -20,8 +20,9 @@ type Metrics struct {
 	// ForwardErrors counts individual peer requests that failed with an
 	// availability error (transport failure, 429/5xx).
 	ForwardErrors atomic.Int64
-	// DigestRejected counts peer responses discarded because their body
-	// did not hash to the X-Gapd-Result-Digest they carried (or their
+	// DigestRejected counts peer responses (results and gossip acks)
+	// discarded because their body did not hash to the
+	// X-Gapd-Result-Digest they carried (or their
 	// payload did not match the expected content address) — wire
 	// corruption converted into a retry instead of a wrong answer.
 	DigestRejected atomic.Int64
@@ -41,10 +42,6 @@ type Metrics struct {
 	// — each one a recompute the scrub + repair machinery did not pay
 	// for.
 	ReadRepaired atomic.Int64
-	// FlapsSuppressed counts dead->alive promotions withheld by flap
-	// damping because the peer had not yet produced the required streak
-	// of consecutive probe successes.
-	FlapsSuppressed atomic.Int64
 	// HedgesSuppressed counts forwards whose hedge was disabled because
 	// the request's remaining deadline budget was smaller than the hedge
 	// threshold — a hedge that cannot finish is load, not insurance.
@@ -86,7 +83,6 @@ func (m *Metrics) Counters() map[string]int64 {
 		"cluster_replica_hits":         m.ReplicaHits.Load(),
 		"cluster_antientropy_repaired": m.AntiEntropyRepaired.Load(),
 		"cluster_read_repaired":        m.ReadRepaired.Load(),
-		"cluster_flaps_suppressed":     m.FlapsSuppressed.Load(),
 		"cluster_hedges_suppressed":    m.HedgesSuppressed.Load(),
 		"cluster_gossip_rounds":        m.GossipRounds.Load(),
 		"cluster_handoff_migrated":     m.HandoffMigrated.Load(),

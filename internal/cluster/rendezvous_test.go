@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/gossip"
 )
 
 // testKeys returns n deterministic pseudo-random hex keys shaped like
@@ -154,22 +157,113 @@ func TestNewValidation(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"empty", Options{SelfID: "a"}},
-		{"self missing", Options{SelfID: "x", Peers: testPeers("a", "b")}},
+		{"no id", Options{Peers: testPeers("a", "b")}},
+		{"no url", Options{SelfID: "a"}},
+		{"self url missing", Options{SelfID: "x", Peers: testPeers("a", "b")}},
+		{"self url conflicting", Options{SelfID: "a", Peers: testPeers("a", "b"),
+			Gossip: &GossipOptions{SelfURL: "http://elsewhere"}}},
 		{"duplicate id", Options{SelfID: "a", Peers: testPeers("a", "a")}},
 		{"empty url", Options{SelfID: "a", Peers: []Peer{{ID: "a"}}}},
 	}
 	for _, tc := range cases {
-		if _, err := New(tc.opt); err == nil {
-			t.Errorf("%s: New accepted", tc.name)
+		if _, err := New(tc.opt); !errors.Is(err, ErrConfig) {
+			t.Errorf("%s: New returned %v, want an ErrConfig error", tc.name, err)
 		}
 	}
-	c, err := New(Options{SelfID: "a", Peers: testPeers("a", "b")})
+
+	// The advertised URL is derived from self's seed entry, given
+	// explicitly, or both when they agree (trailing slash aside).
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"derived", Options{SelfID: "a", Peers: testPeers("a", "b")}},
+		{"advertised", Options{SelfID: "a", Gossip: &GossipOptions{SelfURL: "http://a/"}}},
+		{"agreeing", Options{SelfID: "a", Peers: testPeers("a", "b"),
+			Gossip: &GossipOptions{SelfURL: "http://a/"}}},
+	} {
+		c, err := New(tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// Seeds are contacts, not members: the boot ring is self alone.
+		if c.Self() != "a" || c.Ring().Len() != 1 {
+			t.Errorf("%s: cluster %q ring len %d, want a/1", tc.name, c.Self(), c.Ring().Len())
+		}
+		if got := c.gossip.view.Self().URL; got != "http://a" {
+			t.Errorf("%s: advertised URL %q, want http://a", tc.name, got)
+		}
+		c.Close()
+	}
+}
+
+// TestFlapDampingRouteStability: a flapping peer must not flip Route
+// decisions or rebuild the ring. Every failed request makes the owner
+// suspect — which keeps it in the ring and routable — and every success
+// clears the suspicion, so up-down-up-down blips leave the spec routed
+// to the same owner under the same ring generation throughout. Only
+// the failure detector's dead verdict moves ownership.
+func TestFlapDampingRouteStability(t *testing.T) {
+	c, err := New(Options{SelfID: "a", Peers: testPeers("a", "b", "c")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Self() != "a" || c.Ring().Len() != 2 {
-		t.Errorf("cluster %q len %d", c.Self(), c.Ring().Len())
+	c.gossip.view.Merge([]gossip.Member{
+		{ID: "b", URL: "http://b", State: gossip.StateAlive},
+		{ID: "c", URL: "http://c", State: gossip.StateAlive},
+	})
+	c.gossip.maybeRebuild()
+	ring, gen := c.Ring(), c.gossip.view.Gen()
+	if ring.Len() != 3 {
+		t.Fatalf("ring len %d, want 3", ring.Len())
+	}
+
+	// Find a key owned by a non-self peer.
+	var key, owner string
+	for i := 0; i < 64; i++ {
+		k := fmt.Sprintf("%064d", i)
+		if o := ring.Owner(k); o != "a" {
+			key, owner = k, o
+			break
+		}
+	}
+	if key == "" {
+		t.Fatal("no key owned by a peer")
+	}
+	first := c.Route(key)
+	if first.Local || first.Fallback || first.Targets[0].ID != owner {
+		t.Fatalf("healthy owner %s not first target: %+v", owner, first)
+	}
+
+	const blips = 10
+	for i := 0; i < blips; i++ {
+		for _, report := range []func(){
+			func() { c.reportFailure(owner) },
+			func() { c.reportSuccess(owner) },
+		} {
+			report()
+			rt := c.Route(key)
+			if rt.Owner != first.Owner || rt.Local != first.Local || rt.Fallback != first.Fallback ||
+				len(rt.Targets) != len(first.Targets) {
+				t.Fatalf("blip %d: route oscillated: %+v vs %+v", i, rt, first)
+			}
+			for j := range rt.Targets {
+				if rt.Targets[j].ID != first.Targets[j].ID {
+					t.Fatalf("blip %d: target order changed", i)
+				}
+			}
+			if c.Ring() != ring || c.gossip.view.Gen() != gen {
+				t.Fatalf("blip %d: ring rebuilt (generation %d -> %d)", i, gen, c.gossip.view.Gen())
+			}
+		}
+	}
+	// Every failure was observed — the owner went suspect each time —
+	// yet none of them reached the ring.
+	if got := c.Metrics().Counters()["cluster_suspected"]; got != blips {
+		t.Errorf("cluster_suspected = %d, want %d", got, blips)
+	}
+	if st, _ := c.gossip.view.State(owner); st != gossip.StateAlive {
+		t.Errorf("owner state %s after a final success, want alive", st)
 	}
 }

@@ -217,6 +217,37 @@ func TestFetchTargetInfo(t *testing.T) {
 	}
 }
 
+// TestFetchTargetInfoCountsRoutableMembers: against a /v1/cluster view
+// holding a member in each of the five gossip states, only the alive,
+// suspect, and draining members count toward Nodes — dead and left
+// records are history, not capacity.
+func TestFetchTargetInfoCountsRoutableMembers(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/metrics":
+			w.Write([]byte(`{"uptime_seconds":3,"build_info":{"go":"go1"}}`))
+		case "/v1/cluster":
+			w.Write([]byte(`{"self":"a","members":[
+				{"id":"a","url":"http://a","state":"alive","incarnation":0},
+				{"id":"b","url":"http://b","state":"suspect","incarnation":2},
+				{"id":"c","url":"http://c","state":"draining","incarnation":1},
+				{"id":"d","url":"http://d","state":"dead","incarnation":0},
+				{"id":"e","url":"http://e","state":"left","incarnation":3}]}`))
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(srv.Close)
+
+	info, err := FetchTargetInfo(context.Background(), nil, srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Nodes != 3 {
+		t.Errorf("nodes %d, want 3 (alive + suspect + draining)", info.Nodes)
+	}
+}
+
 // TestFetchTargetInfoStoreProvenance: a disk-tier target stamps its
 // store mode and geometry into the report — a throughput number means
 // something different when every hit crosses CRC+digest verification.

@@ -185,3 +185,62 @@ func TestResultsEndpointRoundTrip(t *testing.T) {
 		t.Errorf("mismatched-path PUT: status %d, want 400", got)
 	}
 }
+
+// TestGossipBodyDigestChecked: a gossip exchange whose body does not
+// match its digest is refused before any record is merged, so a flipped
+// bit cannot add a member to the view; the same body with its true
+// digest is merged.
+func TestGossipBodyDigestChecked(t *testing.T) {
+	pool := jobs.NewPool(jobs.Options{Workers: 1})
+	clu, err := cluster.New(cluster.Options{
+		SelfID: "a",
+		Peers:  []cluster.Peer{{ID: "a", URL: "http://127.0.0.1:1"}},
+		Gossip: &cluster.GossipOptions{Interval: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(clu.Close)
+	srv := httptest.NewServer(NewHandler(Options{Pool: pool, Cluster: clu}))
+	t.Cleanup(srv.Close)
+
+	body := []byte(`{"from":"z","records":[{"id":"z","url":"http://127.0.0.1:2","state":"alive","incarnation":0}]}`)
+	sum := sha256.Sum256(body)
+	post := func(digest string) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, srv.URL+cluster.GossipPath, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(cluster.DigestHeader, digest)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	holdsZ := func() bool {
+		for _, m := range clu.Status().Members {
+			if m.ID == "z" {
+				return true
+			}
+		}
+		return false
+	}
+
+	if got := post(hex.EncodeToString(bytes.Repeat([]byte{1}, 32))); got != http.StatusBadRequest {
+		t.Errorf("corrupt-digest gossip: status %d, want 400", got)
+	}
+	if holdsZ() {
+		t.Error("a gossip body that failed its digest was merged")
+	}
+	if got := post(hex.EncodeToString(sum[:])); got != http.StatusOK {
+		t.Errorf("gossip with its true digest: status %d, want 200", got)
+	}
+	if !holdsZ() {
+		t.Error("a verified gossip body was not merged")
+	}
+}

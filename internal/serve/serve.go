@@ -119,16 +119,15 @@ func (hd *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // StartDrain puts the node into drain mode: /healthz degrades to 503,
 // fresh submissions are forwarded to the next rendezvous rank (refused
 // with 503 when no peer can take them), in-flight jobs keep running,
-// and — under gossip membership — the drain is announced to the cluster
-// and every held result is migrated to its new home. Returns the number
-// of results newly placed elsewhere. Idempotent.
+// and — on a clustered node — the drain is announced to the cluster and
+// every held result is migrated to its new home. Returns the number of
+// results newly placed elsewhere. Idempotent.
 func (hd *Handler) StartDrain(ctx context.Context) (int, error) {
 	hd.inner.draining.Store(true)
-	cl := hd.inner.cluster
-	if cl == nil || !cl.GossipEnabled() {
+	if hd.inner.cluster == nil {
 		return 0, nil
 	}
-	return cl.Drain(ctx)
+	return hd.inner.cluster.Drain(ctx)
 }
 
 // Draining reports whether the node is in drain mode.
@@ -148,7 +147,7 @@ func (hd *Handler) Quiesce() { hd.inner.bg.Wait() }
 //	GET  /v1/jobs/{id} job status by canonical spec hash
 //	GET  /v1/results/{id} stored result by content address (replica reads)
 //	PUT  /v1/results/{id} store a replica pushed by a peer (digest-checked)
-//	POST /v1/gossip    membership exchange (gossip mode; see cluster.GossipMsg)
+//	POST /v1/gossip    membership exchange (see cluster.GossipMsg)
 //	POST /v1/drain     announce drain + migrate held results (?wait=1 blocks)
 //	GET  /v1/cluster   cluster membership, health, and ownership stats
 //	GET  /v1/version   build info (module, version, Go toolchain, VCS)
@@ -263,8 +262,8 @@ func (h *handler) submit(kind jobs.Kind) http.HandlerFunc {
 		// Forward-or-serve: with clustering on, a spec owned by a peer
 		// is proxied to it (hedged); the loop guard serves already-
 		// forwarded requests locally no matter who owns them. While
-		// draining, the gossip ring already excludes this node, so the
-		// same path sheds fresh work to the next rendezvous rank.
+		// draining, the ring already excludes this node, so the same
+		// path sheds fresh work to the next rendezvous rank.
 		if h.cluster != nil && r.Header.Get(cluster.ForwardedHeader) == "" {
 			if done := h.tryForward(ctx, w, spec, r.URL.Path); done {
 				return
@@ -284,15 +283,13 @@ func (h *handler) submit(kind jobs.Kind) http.HandlerFunc {
 		}
 		if h.cluster != nil {
 			h.cluster.Metrics().Local.Add(1)
-			// Before computing under gossip membership, ask the result's
-			// replica set for an already-finished copy: a node that just
-			// joined (or rejoined after a restart) owns addresses whose
-			// results live on the previous owners until handoff converges,
-			// and fetching one replica read beats recomputing the job.
-			if h.cluster.GossipEnabled() {
-				if h.serveReplica(ctx, w, spec.Hash()) {
-					return
-				}
+			// Before computing, ask the result's replica set for an
+			// already-finished copy: a node that just joined (or rejoined
+			// after a restart) owns addresses whose results live on the
+			// previous owners until handoff converges, and fetching one
+			// replica read beats recomputing the job.
+			if h.serveReplica(ctx, w, spec.Hash()) {
+				return
 			}
 		}
 		res, err := h.pool.Do(ctx, spec)
@@ -386,14 +383,17 @@ func (h *handler) tryForward(ctx context.Context, w http.ResponseWriter, spec jo
 	}
 }
 
-// serveReplica answers a fallback request from a peer-held replica of
-// an already-computed result, when one exists. Local tiers are checked
+// serveReplica answers a request from a peer-held replica of an
+// already-computed result, when one exists. Local tiers are checked
 // first — RAM cache and CAS store (pool.Do would hit either anyway —
 // skip the network); a fetched replica is stored locally so repeated
 // requests during the same partition are served without re-fetching.
+// An address the local store has condemned is left to pool.Do, whose
+// read-repair fetches the same replica and accounts the heal
+// (cas_corrupt_reads, cluster_read_repaired, scrub_repaired).
 func (h *handler) serveReplica(ctx context.Context, w http.ResponseWriter, hash string) bool {
-	if h.pool.HasStored(hash) {
-		return false // pool.Do will serve the local copy
+	if h.pool.HasStored(hash) || h.pool.Store().Quarantined(hash) {
+		return false // pool.Do will serve or repair the local copy
 	}
 	res, ok := h.cluster.FetchResult(ctx, hash)
 	if !ok {
@@ -412,10 +412,11 @@ func (h *handler) serveReplica(ctx context.Context, w http.ResponseWriter, hash 
 
 // gossip serves POST /v1/gossip: one SWIM membership exchange. The
 // sender's records are merged into this node's view and the full view
-// is returned, so a single round-trip converges both sides.
+// is returned, so a single round-trip converges both sides. A body that
+// does not match its digest is rejected before anything is merged.
 func (h *handler) gossip(w http.ResponseWriter, r *http.Request) {
-	if h.cluster == nil || !h.cluster.GossipEnabled() {
-		writeError(w, http.StatusNotFound, errors.New("gossip membership disabled (static -peers)"))
+	if h.cluster == nil {
+		writeError(w, http.StatusNotFound, errors.New("clustering disabled (no -peers)"))
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -423,17 +424,20 @@ func (h *handler) gossip(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, err)
 		return
 	}
+	if d := r.Header.Get(cluster.DigestHeader); d != "" {
+		sum := sha256.Sum256(body)
+		if hex.EncodeToString(sum[:]) != d {
+			writeError(w, http.StatusBadRequest,
+				errors.New("gossip body does not match its digest"))
+			return
+		}
+	}
 	var msg cluster.GossipMsg
 	if err := json.Unmarshal(body, &msg); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid gossip body: %w", err))
 		return
 	}
-	ack, err := h.cluster.HandleGossip(r.Context(), msg)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ack)
+	writeJSON(w, http.StatusOK, h.cluster.HandleGossip(r.Context(), msg))
 }
 
 // drain serves POST /v1/drain: flip the node into drain mode, announce
@@ -443,8 +447,8 @@ func (h *handler) gossip(w http.ResponseWriter, r *http.Request) {
 // results migrated — what a rolling-restart orchestrator polls before
 // killing the process.
 func (h *handler) drain(w http.ResponseWriter, r *http.Request) {
-	if h.cluster == nil || !h.cluster.GossipEnabled() {
-		writeError(w, http.StatusNotFound, errors.New("drain requires gossip membership"))
+	if h.cluster == nil {
+		writeError(w, http.StatusNotFound, errors.New("clustering disabled (no -peers)"))
 		return
 	}
 	h.draining.Store(true)
@@ -713,9 +717,9 @@ func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if h.draining.Load() {
-		// Draining outranks degraded: load balancers and gossip probes
-		// should route around this node while it finishes in-flight work,
-		// and the Retry-After hint says when to look again.
+		// Draining outranks degraded: load balancers should route around
+		// this node while it finishes in-flight work, and the Retry-After
+		// hint says when to look again.
 		body["status"] = "draining"
 		status = http.StatusServiceUnavailable
 		h.setRetryAfter(w)

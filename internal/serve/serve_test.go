@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/gossip"
 	"repro/internal/jobs"
 )
 
@@ -749,6 +751,14 @@ func TestHealthzDegradesOnUnrepairableQuarantine(t *testing.T) {
 func TestQuiesceWaitsForReplication(t *testing.T) {
 	var pushStarted, pushFinished atomic.Bool
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == cluster.GossipPath {
+			// Answer the join with the peer's own record, so it enters
+			// the ring and the replica set.
+			json.NewEncoder(w).Encode(cluster.GossipAck{From: "peer", Records: []gossip.Member{
+				{ID: "peer", URL: "http://" + r.Host, State: gossip.StateAlive},
+			}})
+			return
+		}
 		if r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, "/v1/results/") {
 			pushStarted.Store(true)
 			// Long enough that a Quiesce that does not actually wait
@@ -770,11 +780,19 @@ func TestQuiesceWaitsForReplication(t *testing.T) {
 		HedgeAfter:     -1,
 		RequestTimeout: 5 * time.Second,
 		Results:        pool.Cache(),
+		Gossip:         &cluster.GossipOptions{Interval: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(clu.Close)
+	clu.Start(context.Background())
+	for deadline := time.Now().Add(5 * time.Second); clu.Ring().Len() != 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("peer never joined the ring")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	h := NewHandler(Options{Pool: pool, Cluster: clu})
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
